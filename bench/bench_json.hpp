@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -84,6 +85,62 @@ struct BenchRecord {
     return out.str();
   }
 };
+
+/// Command line of a figure bench: --seed=N, --json[=PATH], --out=DIR and
+/// positional counts.
+struct BenchArgs {
+  uint64_t seed = 0;
+  std::string sidecarPath;  // "" when --json is absent
+  std::string outDir;       // "" when --out is absent
+  std::vector<std::string> positional;
+};
+
+/// Parse argv into `args` (seed and sidecar path start at the given
+/// defaults-when-flagged).  Returns false, after saying why on stderr, for
+/// an unknown "--" flag or a malformed seed; the bench then exits 2.
+inline bool parseBenchArgs(int argc, char** argv, uint64_t defaultSeed,
+                           const std::string& defaultSidecar,
+                           BenchArgs& args) {
+  args.seed = defaultSeed;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--seed=", 0) == 0) {
+      char* end = nullptr;
+      args.seed = std::strtoull(arg.c_str() + 7, &end, 10);
+      if (arg.size() == 7 || *end != '\0') {
+        std::fprintf(stderr, "%s: bad seed '%s'\n", argv[0], arg.c_str());
+        return false;
+      }
+    } else if (arg == "--json") {
+      args.sidecarPath = defaultSidecar;
+    } else if (arg.rfind("--json=", 0) == 0) {
+      args.sidecarPath = arg.substr(7);
+    } else if (arg.rfind("--out=", 0) == 0) {
+      args.outDir = arg.substr(6);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], arg.c_str());
+      return false;
+    } else {
+      args.positional.push_back(arg);
+    }
+  }
+  return true;
+}
+
+/// Positional argument `index` as a count: `fallback` when absent, 0
+/// (after saying why on stderr) when it is not a positive integer.
+inline int positiveCount(const BenchArgs& args, size_t index, int fallback) {
+  if (index >= args.positional.size()) return fallback;
+  const std::string& text = args.positional[index];
+  char* end = nullptr;
+  const long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || value <= 0 || value > 1000000) {
+    std::fprintf(stderr, "bad count '%s': need a positive integer\n",
+                 text.c_str());
+    return 0;
+  }
+  return static_cast<int>(value);
+}
 
 /// Write the record to `path` and report it on stdout.
 inline void writeBenchSidecar(const std::string& path,

@@ -3,8 +3,9 @@
 // 3D combined mean ~7.3 cm (std ~4.8 cm), z the worst axis because both
 // rigs spin in the x-y plane (no vertical aperture diversity).
 //
-// Usage: fig10_localization_cdf [--seed=N] [--json[=PATH]]
+// Usage: fig10_localization_cdf [--seed=N] [--json[=PATH]] [--out=DIR]
 //                               [trials2d trials3d]
+// An unknown flag or a count that is not a positive integer exits 2.
 // --json writes the machine-readable trajectory sidecar (default PATH
 // "BENCH_fig10.json"); the exit code reflects its acceptance gates.
 #include <cstdint>
@@ -20,23 +21,16 @@
 using namespace tagspin;
 
 int main(int argc, char** argv) {
-  uint64_t seed = 99;  // the eval::RunnerConfig default
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_fig10.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;  // --out=DIR is accepted; only the sidecar is written
+  if (!bench::parseBenchArgs(argc, argv, 99 /* eval::RunnerConfig default */,
+                             "BENCH_fig10.json", args)) {
+    return 2;
   }
-  const int trials2d = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
-  const int trials3d = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 16;
+  const int trials2d = bench::positiveCount(args, 0, 30);
+  const int trials3d = bench::positiveCount(args, 1, 16);
+  if (trials2d == 0 || trials3d == 0) return 2;
+  const uint64_t seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
 
   dsp::Summary s2d, s3d;
 
@@ -85,10 +79,11 @@ int main(int argc, char** argv) {
   bench::BenchRecord record;
   record.name = "fig10";
   record.seed = seed;
-  record.gate("cdf_2d_mean_le_10cm", s2d.mean <= 10.0);
-  record.gate("cdf_2d_p90_le_20cm", s2d.p90 <= 20.0);
-  record.gate("cdf_3d_mean_le_12cm", s3d.mean <= 12.0);
-  record.gate("cdf_3d_p90_le_25cm", s3d.p90 <= 25.0);
+  // A gate over no samples fails.
+  record.gate("cdf_2d_mean_le_10cm", s2d.count > 0 && s2d.mean <= 10.0);
+  record.gate("cdf_2d_p90_le_20cm", s2d.count > 0 && s2d.p90 <= 20.0);
+  record.gate("cdf_3d_mean_le_12cm", s3d.count > 0 && s3d.mean <= 12.0);
+  record.gate("cdf_3d_p90_le_25cm", s3d.count > 0 && s3d.p90 <= 25.0);
   record.metric("mean_2d_cm", s2d.mean);
   record.metric("std_2d_cm", s2d.stddev);
   record.metric("median_2d_cm", s2d.median);

@@ -1,5 +1,6 @@
-// Microbenchmarks of the hot paths (google-benchmark): profile evaluation,
-// azimuth spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
+// Microbenchmarks of the hot paths (google-benchmark): profile evaluation
+// (one direction per call, and 720-point evaluateGrid sweeps), azimuth
+// spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
 // search, and the end-to-end 2D fix.
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "core/power_profile.hpp"
 #include "core/preprocess.hpp"
 #include "core/spectrum.hpp"
+#include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 
 using namespace tagspin;
@@ -68,6 +70,34 @@ void BM_EvaluateR(benchmark::State& state) {
                           static_cast<int64_t>(snaps.size()));
 }
 BENCHMARK(BM_EvaluateR)->Arg(256)->Arg(1024)->Arg(2500);
+
+// One 720-point evaluateGrid sweep per iteration; items are
+// snapshot-evaluations, so items/s inverts to ns per snapshot-evaluation.
+void sweepGrid(benchmark::State& state, core::ProfileFormula formula) {
+  const auto snaps = makeSnapshots(static_cast<size_t>(state.range(0)), 1.0);
+  core::ProfileConfig pc;
+  pc.formula = formula;
+  const core::PowerProfile profile(snaps, kKin, pc);
+  const std::vector<double> grid = dsp::circularGrid(720);
+  std::vector<double> out(grid.size());
+  for (auto _ : state) {
+    profile.evaluateGrid(grid, 1.0, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(grid.size() * snaps.size()));
+}
+
+void BM_EvaluateGridQ(benchmark::State& state) {
+  sweepGrid(state, core::ProfileFormula::kRelativeQ);
+}
+BENCHMARK(BM_EvaluateGridQ)->Arg(256)->Arg(1250);
+
+void BM_EvaluateGridR(benchmark::State& state) {
+  sweepGrid(state, core::ProfileFormula::kEnhancedR);
+}
+BENCHMARK(BM_EvaluateGridR)->Arg(256)->Arg(1250);
 
 void BM_AzimuthSearchExhaustive(benchmark::State& state) {
   const auto snaps = makeSnapshots(1024, 1.0);

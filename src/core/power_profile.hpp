@@ -24,6 +24,11 @@
 //    channel (the unknown 4*pi*D/lambda term differs across channels), so
 //    Q/R form one coherent sum per channel and combine the magnitudes.
 //    P ignores grouping -- it is the classical method reproduced as-is.
+//
+// Every value comes from one batched kernel, evaluateGrid (DESIGN.md,
+// "Spectrum kernel"): structure-of-arrays snapshot entries, a block of
+// directions evaluated per pass over the snapshots, inline polynomial
+// sin/cos/exp, and no heap allocation per call.
 #pragma once
 
 #include <span>
@@ -41,20 +46,32 @@ class PowerProfile {
   PowerProfile(std::span<const Snapshot> snapshots,
                const RigKinematics& kinematics, const ProfileConfig& config);
 
+  /// Profile values for every angle in `angles`, written to `out` (which
+  /// must have the same size; throws std::invalid_argument otherwise).
+  /// The aperture term is scale * cos(a_i - angle): scale = cos(gamma) for
+  /// the horizontal 3D case, 1 in 2D.  A direction's value does not depend
+  /// on the other angles of the request.  Allocation-free once the calling
+  /// thread's scratch has grown to this profile's largest channel group,
+  /// and safe to call concurrently on one profile.
+  void evaluateGrid(std::span<const double> angles, double scale,
+                    std::span<double> out) const;
+
   /// Profile value for azimuth phi (2D, gamma = 0).
   double evaluate(double phi) const { return evaluate(phi, 0.0); }
 
   /// Profile value for direction (phi, gamma) -- paper Eqn. 11/12.
   double evaluate(double phi, double gamma) const;
 
-  /// Generalised steering: the aperture term is scale * cos(a_i - angle),
-  /// where `angle` is measured in the rig's rotation plane and `scale` is
-  /// the length of the unit direction's projection onto that plane.  The
-  /// horizontal 3D case is evaluateDirection(phi, cos(gamma)); a vertically
-  /// spinning rig (future-work extension) uses its own plane projection.
+  /// One-direction evaluateGrid: the aperture term is
+  /// scale * cos(a_i - angle), where `angle` is measured in the rig's
+  /// rotation plane and `scale` is the length of the unit direction's
+  /// projection onto that plane.  The horizontal 3D case is
+  /// evaluateDirection(phi, cos(gamma)); a vertically spinning rig
+  /// (future-work extension) uses its own plane projection.
   double evaluateDirection(double angle, double scale) const;
 
-  /// Dense sampling over phi in [0, 2*pi) for plotting (Fig. 1, 6, 8).
+  /// The profile over the uniform `points`-point azimuth grid
+  /// (dsp::circularGrid) -- the grid the azimuth search scans.
   std::vector<double> sampleAzimuth(size_t points, double gamma = 0.0) const;
 
   /// How broadly the snapshots support direction (phi, gamma) under the
@@ -71,28 +88,37 @@ class PowerProfile {
   };
   WeightStats weightStats(double phi, double gamma = 0.0) const;
 
-  size_t snapshotCount() const { return entries_.size(); }
+  size_t snapshotCount() const { return cosA_.size(); }
   const ProfileConfig& config() const { return config_; }
 
  private:
-  struct Entry {
-    // cos/sin of the disk angle a_i and of the group's reference disk angle
-    // a_0, precomputed so the per-candidate evaluation needs no trig on the
-    // geometry: cos(a - phi) = cosA*cos(phi) + sinA*sin(phi).
-    double cosA = 0.0;
-    double sinA = 0.0;
-    double cosRef = 0.0;
-    double sinRef = 0.0;
-    double k = 0.0;           // 4*pi/lambda_i
-    double relPhase = 0.0;    // theta_i - theta_0 of its channel group
-    int group = 0;            // channel-group index
+  struct WeightSums {
+    double sum = 0.0;
+    double sumSq = 0.0;
   };
 
+  /// Evaluates L directions in one pass over the snapshots; with `sums`
+  /// set, lane 0 also accumulates its likelihood weights.
+  template <size_t L>
+  void evaluateBlock(const double* angles, double scale, double* out,
+                     WeightSums* sums) const;
+
   ProfileConfig config_;
-  double radius_ = 0.0;
   double sigmaPair_ = 0.0;
-  int groupCount_ = 0;
-  std::vector<Entry> entries_;
+
+  // Snapshot entries as structure of arrays, each channel group
+  // contiguous: group g owns [groupStart_[g], groupStart_[g + 1]), in the
+  // snapshots' original order.  cos/sin of the disk angle a_i are
+  // precomputed so the per-candidate evaluation needs no trig on the
+  // geometry: cos(a - phi) = cosA*cos(phi) + sinA*sin(phi).
+  std::vector<double> cosA_;
+  std::vector<double> sinA_;
+  std::vector<double> kr_;        // k_i * r = 4*pi*r/lambda_i
+  std::vector<double> relPhase_;  // theta_i - theta_0 of its channel group
+  std::vector<size_t> groupStart_;
+  // cos/sin of each group's reference disk angle a_0.
+  std::vector<double> refCos_;
+  std::vector<double> refSin_;
 };
 
 }  // namespace tagspin::core

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dsp/grid.hpp"
 #include "dsp/peaks.hpp"
 #include "geom/angles.hpp"
 
@@ -44,9 +45,8 @@ robust::SpinDiagnostics diagnoseSpin(
       profile.sampleAzimuth(gridPoints, gamma);
   double ghost = 0.0;
   if (!samples.empty()) {
-    const double peakPhi = geom::kTwoPi *
-                           static_cast<double>(dsp::argmax(samples)) /
-                           static_cast<double>(samples.size());
+    const double peakPhi =
+        dsp::circularGridAngle(dsp::argmax(samples), samples.size());
     ghost = 1.0 - profile.weightStats(peakPhi, gamma).effectiveFraction;
   }
   return robust::diagnoseSpectrum(samples, ghost, config);
@@ -117,11 +117,9 @@ RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
     const std::vector<double> samples = p.sampleAzimuth(kGridPoints);
     h.spectrum = assessSpectrumSamples(samples);
     if (diagnostics != nullptr) {
-      double ghost = 0.0;
-      const double peakPhi = geom::kTwoPi *
-                             static_cast<double>(dsp::argmax(samples)) /
-                             static_cast<double>(samples.size());
-      ghost = 1.0 - p.weightStats(peakPhi).effectiveFraction;
+      const double peakPhi =
+          dsp::circularGridAngle(dsp::argmax(samples), samples.size());
+      const double ghost = 1.0 - p.weightStats(peakPhi).effectiveFraction;
       h.spin = robust::diagnoseSpectrum(samples, ghost, *diagnostics);
     }
   }

@@ -2,58 +2,46 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 
 namespace tagspin::core {
+namespace {
+
+/// The profile at polar angle gamma as a batch evaluator over azimuths.
+auto azimuthSweep(const PowerProfile& profile, double gamma = 0.0) {
+  return [&profile, scale = std::cos(gamma)](std::span<const double> phis,
+                                             std::span<double> out) {
+    profile.evaluateGrid(phis, scale, out);
+  };
+}
+
+}  // namespace
 
 AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
                                 const SearchConfig& search) {
   const auto best = dsp::maximizeCircular(
-      [&](double phi) { return profile.evaluate(phi); },
-      search.azimuthGridPoints, search.refineRounds);
+      azimuthSweep(profile), search.azimuthGridPoints, search.refineRounds);
   return {best.x, best.value};
 }
 
 AzimuthEstimate estimateAzimuthCoarseFine(const PowerProfile& profile,
                                           const SearchConfig& search) {
   const auto best = dsp::maximizeCircularCoarseFine(
-      [&](double phi) { return profile.evaluate(phi); },
-      search.azimuthGridPoints / 8, 64, search.refineRounds);
+      azimuthSweep(profile), search.azimuthGridPoints / 8, 64,
+      search.refineRounds);
   return {best.x, best.value};
 }
 
 AzimuthEstimate refineAzimuthNear(const PowerProfile& profile, double seedRad,
                                   double halfSpanRad, int refineRounds,
                                   double gamma) {
-  double bestX = seedRad;
-  double bestV = profile.evaluate(seedRad, gamma);
-  constexpr int kGridHalf = 8;
-  for (int i = -kGridHalf; i <= kGridHalf; ++i) {
-    if (i == 0) continue;
-    const double x =
-        seedRad + halfSpanRad * static_cast<double>(i) / kGridHalf;
-    const double v = profile.evaluate(x, gamma);
-    if (v > bestV) {
-      bestX = x;
-      bestV = v;
-    }
-  }
-  double halfSpan = halfSpanRad / kGridHalf;
-  for (int round = 0; round < refineRounds; ++round) {
-    const double candidates[4] = {bestX - halfSpan, bestX - halfSpan / 2.0,
-                                  bestX + halfSpan / 2.0, bestX + halfSpan};
-    for (double c : candidates) {
-      const double v = profile.evaluate(c, gamma);
-      if (v > bestV) {
-        bestX = c;
-        bestV = v;
-      }
-    }
-    halfSpan /= 2.0;
-  }
-  return {geom::wrapTwoPi(bestX), bestV};
+  const auto best = dsp::maximizeNear(azimuthSweep(profile, gamma), seedRad,
+                                      halfSpanRad, /*gridHalf=*/8,
+                                      refineRounds);
+  return {geom::wrapTwoPi(best.x), best.value};
 }
 
 SpatialEstimate estimateSpatial(const PowerProfile& profile,
@@ -64,7 +52,9 @@ SpatialEstimate estimateSpatial(const PowerProfile& profile,
   const double lo = std::max(search.polarMin, 0.0);
   const double hi = std::max(search.polarMax, lo);
   const auto best = dsp::maximizeRect(
-      [&](double phi, double gamma) { return profile.evaluate(phi, gamma); },
+      [&](std::span<const double> phis, double gamma, std::span<double> out) {
+        profile.evaluateGrid(phis, std::cos(gamma), out);
+      },
       lo, hi, search.azimuthGridPoints / 2,
       std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds);
   return {best.x, std::abs(best.y), best.value};

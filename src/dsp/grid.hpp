@@ -3,11 +3,22 @@
 // The angle spectrum is a smooth function of the candidate direction; the
 // paper traverses "all possible angles" on a grid.  We provide the exhaustive
 // traversal plus a coarse-to-fine refinement used by the perf ablation.
+//
+// The searches hand their points to the objective in batches -- the whole
+// grid, then one batch per refine round -- so a batched evaluator such as
+// core::PowerProfile::evaluateGrid evaluates many directions per pass over
+// its data.  A batch evaluator is callable as f(xs, out) and writes the
+// value at xs[i] to out[i]; a plain pointwise f(x) is accepted too.  The
+// rectangle takes a row evaluator f(xs, y, out) (or a pointwise f(x, y)).
+// Batching changes no result: the points, the strict-> first-maximum scan
+// order and the refine steps are those of a pointwise search.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <concepts>
 #include <numbers>
+#include <span>
 #include <vector>
 
 namespace tagspin::dsp {
@@ -23,59 +34,139 @@ struct GridMax2D {
   double value = 0.0;
 };
 
-/// Evaluate `f` at `n` uniformly spaced points on [0, 2*pi) and return the
-/// sampled values (used to plot full profiles).
-template <std::invocable<double> F>
+template <class F>
+concept BatchObjective =
+    std::invocable<F&, std::span<const double>, std::span<double>>;
+
+template <class F>
+concept CircularObjective = BatchObjective<F> || std::invocable<F&, double>;
+
+template <class F>
+concept RowObjective =
+    std::invocable<F&, std::span<const double>, double, std::span<double>>;
+
+template <class F>
+concept RectObjective = RowObjective<F> || std::invocable<F&, double, double>;
+
+/// Point i of the uniform n-point grid on [0, 2*pi): i * (2*pi/n).  Every
+/// circular sweep -- the searches below, core::PowerProfile::sampleAzimuth
+/// and the peak angles read off its samples -- uses this one formula, so
+/// "the same grid" means the same angles bit for bit.
+inline double circularGridAngle(size_t i, size_t n) {
+  return static_cast<double>(i) *
+         (2.0 * std::numbers::pi / static_cast<double>(n));
+}
+
+/// The n angles of circularGridAngle, in order.
+inline std::vector<double> circularGrid(size_t n) {
+  std::vector<double> angles(n);
+  for (size_t i = 0; i < n; ++i) angles[i] = circularGridAngle(i, n);
+  return angles;
+}
+
+namespace detail {
+
+template <CircularObjective F>
+auto asBatch(F& f) {
+  return [&f](std::span<const double> xs, std::span<double> out) {
+    if constexpr (BatchObjective<F>) {
+      f(xs, out);
+    } else {
+      for (size_t i = 0; i < xs.size(); ++i) out[i] = f(xs[i]);
+    }
+  };
+}
+
+template <RectObjective F>
+auto asRows(F& f) {
+  return [&f](std::span<const double> xs, double y, std::span<double> out) {
+    if constexpr (RowObjective<F>) {
+      f(xs, y, out);
+    } else {
+      for (size_t i = 0; i < xs.size(); ++i) out[i] = f(xs[i], y);
+    }
+  };
+}
+
+/// Scan `values` in order and keep the first strict maximum, starting from
+/// `best`.
+inline void scanMax(std::span<const double> xs, std::span<const double> values,
+                    GridMax1D& best) {
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (values[i] > best.value) best = {xs[i], values[i]};
+  }
+}
+
+/// `rounds` of 4-point halving zoom around best.x, starting at +-halfSpan;
+/// each round's points are fixed at its start and evaluated as one batch.
+template <class Batch>
+void zoom(Batch& eval, GridMax1D& best, double halfSpan, int rounds) {
+  for (int round = 0; round < rounds; ++round) {
+    const double candidates[4] = {best.x - halfSpan, best.x - halfSpan / 2.0,
+                                  best.x + halfSpan / 2.0, best.x + halfSpan};
+    double values[4];
+    eval(candidates, values);
+    scanMax(candidates, values, best);
+    halfSpan /= 2.0;
+  }
+}
+
+}  // namespace detail
+
+/// Evaluate `f` at the n points of circularGrid(n) and return the sampled
+/// values (used to plot full profiles).
+template <CircularObjective F>
 std::vector<double> sampleCircular(F&& f, size_t n) {
+  const std::vector<double> xs = circularGrid(n);
   std::vector<double> out(n);
-  const double step = 2.0 * std::numbers::pi / static_cast<double>(n);
-  for (size_t i = 0; i < n; ++i) out[i] = f(static_cast<double>(i) * step);
+  detail::asBatch(f)(xs, out);
   return out;
 }
 
 /// Exhaustive maximisation of `f` over [0, 2*pi) on an n-point grid followed
 /// by `refineRounds` of local 3-point zooming (each round shrinks the bracket
 /// by 4x around the best sample).
-template <std::invocable<double> F>
+template <CircularObjective F>
 GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
+  auto eval = detail::asBatch(f);
   const double twoPi = 2.0 * std::numbers::pi;
   const double step = twoPi / static_cast<double>(n);
-  GridMax1D best{0.0, f(0.0)};
-  for (size_t i = 1; i < n; ++i) {
-    const double x = static_cast<double>(i) * step;
-    const double v = f(x);
-    if (v > best.value) best = {x, v};
-  }
-  double halfSpan = step;
-  for (int round = 0; round < refineRounds; ++round) {
-    const double candidates[4] = {best.x - halfSpan, best.x - halfSpan / 2.0,
-                                  best.x + halfSpan / 2.0, best.x + halfSpan};
-    for (double c : candidates) {
-      const double v = f(c);
-      if (v > best.value) best = {c, v};
-    }
-    halfSpan /= 2.0;
-  }
+  const std::vector<double> xs = circularGrid(std::max<size_t>(n, 1));
+  std::vector<double> values(xs.size());
+  eval(xs, values);
+  GridMax1D best{xs[0], values[0]};
+  detail::scanMax(xs, values, best);
+  detail::zoom(eval, best, step, refineRounds);
   best.x = std::fmod(best.x + twoPi, twoPi);
   return best;
 }
 
 /// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an
 /// (nx x ny) grid with local refinement; used for the (azimuth, polar)
-/// spectrum of section V-B.
-template <std::invocable<double, double> F>
+/// spectrum of section V-B.  The grid is evaluated one batch per y row; the
+/// refinement places each candidate relative to the running best, so it
+/// evaluates one point at a time.
+template <RectObjective F>
 GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
                        size_t ny = 91, int refineRounds = 6) {
+  auto row = detail::asRows(f);
   const double twoPi = 2.0 * std::numbers::pi;
   const double xstep = twoPi / static_cast<double>(nx);
   const double ystep = ny > 1 ? (ymax - ymin) / static_cast<double>(ny - 1) : 0.0;
-  GridMax2D best{0.0, ymin, f(0.0, ymin)};
-  for (size_t i = 0; i < nx; ++i) {
-    const double x = static_cast<double>(i) * xstep;
-    for (size_t j = 0; j < ny; ++j) {
-      const double y = ymin + static_cast<double>(j) * ystep;
-      const double v = f(x, y);
-      if (v > best.value) best = {x, y, v};
+  const std::vector<double> xs = circularGrid(std::max<size_t>(nx, 1));
+  const size_t rows = std::max<size_t>(ny, 1);
+  std::vector<double> values(xs.size() * rows);
+  for (size_t j = 0; j < rows; ++j) {
+    row(xs, ymin + static_cast<double>(j) * ystep,
+        std::span(values).subspan(j * xs.size(), xs.size()));
+  }
+  GridMax2D best{xs[0], ymin, values[0]};
+  for (size_t i = 0; i < xs.size(); ++i) {
+    for (size_t j = 0; j < rows; ++j) {
+      const double v = values[j * xs.size() + i];
+      if (v > best.value) {
+        best = {xs[i], ymin + static_cast<double>(j) * ystep, v};
+      }
     }
   }
   double hx = xstep;
@@ -87,7 +178,8 @@ GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
         const double x = best.x + dx * hx / 2.0;
         double y = best.y + dy * hy / 2.0;
         if (y < ymin || y > ymax) continue;
-        const double v = f(x, y);
+        double v = 0.0;
+        row({&x, 1}, y, {&v, 1});
         if (v > best.value) best = {x, y, v};
       }
     }
@@ -102,33 +194,55 @@ GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
 /// `nCoarse` points selects a bracket which is then searched with a dense
 /// local grid.  Equivalent result to maximizeCircular for unimodal-enough
 /// profiles at a fraction of the evaluations; benchmarked in perf_profiles.
-template <std::invocable<double> F>
+template <CircularObjective F>
 GridMax1D maximizeCircularCoarseFine(F&& f, size_t nCoarse = 90,
                                      size_t nFine = 64, int refineRounds = 4) {
+  auto eval = detail::asBatch(f);
   const double twoPi = 2.0 * std::numbers::pi;
   const double coarseStep = twoPi / static_cast<double>(nCoarse);
-  GridMax1D best{0.0, f(0.0)};
-  for (size_t i = 1; i < nCoarse; ++i) {
-    const double x = static_cast<double>(i) * coarseStep;
-    const double v = f(x);
-    if (v > best.value) best = {x, v};
-  }
+  const std::vector<double> coarse = circularGrid(std::max<size_t>(nCoarse, 1));
+  std::vector<double> values(coarse.size());
+  eval(coarse, values);
+  GridMax1D best{coarse[0], values[0]};
+  detail::scanMax(coarse, values, best);
   const double lo = best.x - coarseStep;
   const double fineStep = 2.0 * coarseStep / static_cast<double>(nFine);
+  std::vector<double> fine(nFine + 1);
   for (size_t i = 0; i <= nFine; ++i) {
-    const double x = lo + static_cast<double>(i) * fineStep;
-    const double v = f(x);
-    if (v > best.value) best = {x, v};
+    fine[i] = lo + static_cast<double>(i) * fineStep;
   }
+  values.resize(fine.size());
+  eval(fine, values);
+  detail::scanMax(fine, values, best);
   double halfSpan = fineStep;
   for (int round = 0; round < refineRounds; ++round) {
-    for (double c : {best.x - halfSpan, best.x + halfSpan}) {
-      const double v = f(c);
-      if (v > best.value) best = {c, v};
-    }
+    const double candidates[2] = {best.x - halfSpan, best.x + halfSpan};
+    double v[2];
+    eval(candidates, v);
+    detail::scanMax(candidates, v, best);
     halfSpan /= 2.0;
   }
   best.x = std::fmod(best.x + twoPi, twoPi);
+  return best;
+}
+
+/// Local maximisation around `seed`: `seed` itself, then a grid of
+/// 2*gridHalf points over seed +- halfSpan, then `refineRounds` of the
+/// halving zoom maximizeCircular finishes with.  The result is not wrapped.
+template <CircularObjective F>
+GridMax1D maximizeNear(F&& f, double seed, double halfSpan, int gridHalf,
+                       int refineRounds) {
+  auto eval = detail::asBatch(f);
+  std::vector<double> xs{seed};
+  for (int i = -gridHalf; i <= gridHalf; ++i) {
+    if (i == 0) continue;
+    xs.push_back(seed + halfSpan * static_cast<double>(i) / gridHalf);
+  }
+  std::vector<double> values(xs.size());
+  eval(xs, values);
+  GridMax1D best{seed, values[0]};
+  detail::scanMax(xs, values, best);
+  detail::zoom(eval, best, halfSpan / gridHalf, refineRounds);
   return best;
 }
 

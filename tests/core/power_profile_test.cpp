@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/spectrum.hpp"
+#include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 #include "synthetic.hpp"
 
@@ -240,8 +241,7 @@ TEST(PowerProfile, SampleAzimuthMatchesEvaluate) {
   const auto samples = profile.sampleAzimuth(36);
   ASSERT_EQ(samples.size(), 36u);
   for (size_t i = 0; i < samples.size(); ++i) {
-    EXPECT_DOUBLE_EQ(samples[i],
-                     profile.evaluate(geom::kTwoPi * i / 36.0));
+    EXPECT_EQ(samples[i], profile.evaluate(dsp::circularGridAngle(i, 36)));
   }
 }
 

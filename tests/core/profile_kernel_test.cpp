@@ -1,0 +1,315 @@
+// Differential tests of the batched spectrum kernel
+// (PowerProfile::evaluateGrid) against the scalar reference implementation
+// it replaced (reference_profile.hpp), over seeded random snapshot sets.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <random>
+#include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "core/power_profile.hpp"
+#include "core/spectrum.hpp"
+#include "dsp/grid.hpp"
+#include "dsp/peaks.hpp"
+#include "geom/angles.hpp"
+#include "reference_profile.hpp"
+#include "synthetic.hpp"
+
+namespace tagspin::core {
+namespace {
+
+using testing::ReferenceProfile;
+
+constexpr size_t kGridPoints = 720;
+constexpr double kRelativeBound = 1e-12;
+// The enhanced profile centres each group's residuals on their circular
+// mean before weighting, so one ulp of a group's centre moves a weight by
+// 2|c|/(2 sigma^2) ulps -- ~10^4 at phaseNoiseStd = 1e-3.  The kernel's
+// polynomial sin/cos differ from libm's by one ulp in ~3% of cases, which
+// can move a centre by an ulp, and geom::wrapToPi rounds a negative
+// residual to a multiple of 2^-50 -- so the oracle's own value is no more
+// exact than that.  Where the value's centre sensitivity times a shift of
+// four 2^-50 steps exceeds 1e-12, that product is the bound; with the
+// default phaseNoiseStd (0.1) the sensitivity is below 40, and the bound
+// stays 1e-12.
+constexpr double kCentreShift = 0x1p-48;
+
+struct KernelCase {
+  ProfileFormula formula = ProfileFormula::kEnhancedR;
+  bool channelCoherent = true;
+  int channels = 1;
+  size_t count = 2;
+  double gamma = 0.0;
+  double lambdaM = 0.325;
+  double phaseNoiseStd = 0.1;
+  double radiusM = 0.1;
+  bool modelPhases = false;  // phases from the signal model, else uniform
+  uint64_t seed = 0;
+
+  std::string describe() const {
+    std::ostringstream out;
+    out << "formula=" << static_cast<int>(formula)
+        << " coherent=" << channelCoherent << " channels=" << channels
+        << " n=" << count << " gamma=" << gamma << " lambda=" << lambdaM
+        << " sigma=" << phaseNoiseStd << " r=" << radiusM
+        << " model=" << modelPhases << " seed=" << seed;
+    return out.str();
+  }
+
+  ProfileConfig profileConfig() const {
+    ProfileConfig pc;
+    pc.formula = formula;
+    pc.channelCoherent = channelCoherent;
+    pc.phaseNoiseStd = phaseNoiseStd;
+    return pc;
+  }
+
+  RigKinematics kinematics() const {
+    return {radiusM, 0.5 + 0.1 * static_cast<double>(seed % 7),
+            0.3 * static_cast<double>(seed % 11), geom::kPi / 2.0};
+  }
+};
+
+/// Every formula x coherence x channel count x snapshot count, with the
+/// direction, wavelength, noise, radius and phase model drawn per case.
+std::vector<KernelCase> kernelCases() {
+  const ProfileFormula formulas[] = {ProfileFormula::kClassicalP,
+                                     ProfileFormula::kRelativeQ,
+                                     ProfileFormula::kEnhancedR};
+  const int channels[] = {1, 2, 16};
+  const size_t counts[] = {2, 3, 7, 9, 400, 1250};
+  const double gammas[] = {0.0, 0.3, -0.3, 1.5, -1.5};
+  const double lambdas[] = {1e-3, 0.0125, 0.325, 3.0, 1e3};
+  const double sigmas[] = {1e-3, 1e-2, 0.1, 0.5};
+  const double radii[] = {0.01, 0.1, 0.5};
+  std::vector<KernelCase> cases;
+  uint64_t seed = 0;
+  for (size_t count : counts) {
+    for (ProfileFormula formula : formulas) {
+      for (bool coherent : {true, false}) {
+        for (int ch : channels) {
+          std::mt19937_64 rng(++seed);
+          KernelCase c;
+          c.formula = formula;
+          c.channelCoherent = coherent;
+          c.channels = ch;
+          c.count = count;
+          c.gamma = gammas[rng() % 5];
+          c.lambdaM = lambdas[rng() % 5];
+          c.phaseNoiseStd = sigmas[rng() % 4];
+          c.radiusM = radii[rng() % 3];
+          c.modelPhases = rng() % 2 == 0;
+          c.seed = seed;
+          cases.push_back(c);
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::vector<Snapshot> randomSnapshots(const KernelCase& c) {
+  std::mt19937_64 rng(c.seed * 7919);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::normal_distribution<double> noise(0.0, c.phaseNoiseStd);
+  const RigKinematics kin = c.kinematics();
+  const double phiTrue = geom::kTwoPi * unit(rng);
+  const double cg = std::cos(c.gamma);
+  std::vector<Snapshot> snaps(c.count);
+  for (Snapshot& s : snaps) {
+    const int channel =
+        static_cast<int>(rng() % static_cast<uint64_t>(c.channels));
+    s.channel = 3 * channel + 1;
+    s.lambdaM = c.lambdaM * (1.0 + 0.004 * channel);
+    s.timeS = 30.0 * unit(rng);
+    if (c.modelPhases) {
+      const double d =
+          2.0 - kin.radiusM * std::cos(kin.diskAngle(s.timeS) - phiTrue) * cg;
+      s.phaseRad = geom::wrapTwoPi(4.0 * geom::kPi / s.lambdaM * d +
+                                   0.7 * channel + noise(rng));
+    } else {
+      s.phaseRad = geom::kTwoPi * unit(rng);
+    }
+  }
+  return snaps;
+}
+
+double relativeError(double got, double want) {
+  return std::abs(got - want) / std::abs(want);
+}
+
+TEST(ProfileKernel, MatchesScalarReferenceOnGrid) {
+  const std::vector<double> grid = dsp::circularGrid(kGridPoints);
+  double worst = 0.0;
+  double worstIll = 0.0;
+  size_t zeros = 0;
+  size_t illConditioned = 0;
+  size_t beyond = 0;
+  size_t values = 0;
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    const ReferenceProfile oracle(snaps, c.kinematics(), c.profileConfig());
+    std::vector<double> got(kGridPoints);
+    profile.evaluateGrid(grid, std::cos(c.gamma), got);
+    std::vector<double> want(kGridPoints);
+    for (size_t i = 0; i < kGridPoints; ++i) {
+      want[i] = oracle.evaluate(grid[i], c.gamma);
+      ++values;
+      if (want[i] == 0.0) {
+        ++zeros;
+        ASSERT_EQ(got[i], 0.0) << c.describe() << " point " << i;
+        continue;
+      }
+      const double err = relativeError(got[i], want[i]);
+      const double centreBound =
+          oracle.centreSensitivity(grid[i], c.gamma) * kCentreShift;
+      if (centreBound > kRelativeBound) {
+        ++illConditioned;
+        if (err > kRelativeBound) ++beyond;
+        worstIll = std::max(worstIll, err);
+      } else {
+        worst = std::max(worst, err);
+      }
+      ASSERT_LE(err, std::max(kRelativeBound, centreBound))
+          << c.describe() << " point " << i << " got " << got[i]
+          << " want " << want[i];
+    }
+    EXPECT_EQ(dsp::argmax(got), dsp::argmax(want)) << c.describe();
+  }
+  // The underflow path must actually be exercised.
+  EXPECT_GT(zeros, 0u);
+  std::printf(
+      "[ kernel ] %zu values: %zu exact zeros; worst relative error %.3g; "
+      "%zu ill-conditioned, %zu of them beyond 1e-12 (worst %.3g)\n",
+      values, zeros, worst, illConditioned, beyond, worstIll);
+}
+
+TEST(ProfileKernel, GhostScoreMatchesScalarReference) {
+  for (const KernelCase& c : kernelCases()) {
+    if (c.count > 400) continue;
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    const ReferenceProfile oracle(snaps, c.kinematics(), c.profileConfig());
+    for (double phi : {0.0, 1.1, 2.9, 5.5}) {
+      const auto got = profile.weightStats(phi, c.gamma);
+      const auto [mean, fraction] = oracle.weightStats(phi, c.gamma);
+      EXPECT_NEAR(1.0 - got.effectiveFraction, 1.0 - fraction, 1e-12)
+          << c.describe() << " phi " << phi;
+      if (mean == 0.0) {
+        EXPECT_EQ(got.meanWeight, 0.0) << c.describe();
+      } else {
+        EXPECT_LE(relativeError(got.meanWeight, mean), kRelativeBound)
+            << c.describe() << " phi " << phi;
+      }
+    }
+  }
+}
+
+TEST(ProfileKernel, SearchesPickTheOracleGridCell) {
+  const SearchConfig search;
+  const double step = geom::kTwoPi / static_cast<double>(kGridPoints);
+  size_t identical = 0;
+  size_t searches = 0;
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    const ReferenceProfile oracle(snaps, c.kinematics(), c.profileConfig());
+    const AzimuthEstimate got = estimateAzimuth(profile, search);
+    const dsp::GridMax1D want = dsp::maximizeCircular(
+        [&](double phi) { return oracle.evaluate(phi); },
+        search.azimuthGridPoints, search.refineRounds);
+    ++searches;
+    identical += got.azimuth == want.x ? 1 : 0;
+    EXPECT_LT(geom::circularDistance(got.azimuth, want.x), 0.5 * step)
+        << c.describe();
+
+    // The 3D search costs 10^4 evaluations per oracle run; keep it to the
+    // small sets plus the enhanced profile at n = 400.
+    const bool spatial =
+        c.count <= 9 || (c.count == 400 &&
+                         c.formula == ProfileFormula::kEnhancedR &&
+                         c.channelCoherent);
+    if (!spatial) continue;
+    const SpatialEstimate got3 = estimateSpatial(profile, search);
+    const dsp::GridMax2D want3 = dsp::maximizeRect(
+        [&](double phi, double gamma) { return oracle.evaluate(phi, gamma); },
+        0.0, search.polarMax, search.azimuthGridPoints / 2,
+        search.polarGridPoints / 2, search.refineRounds);
+    const double polarStep =
+        search.polarMax / static_cast<double>(search.polarGridPoints / 2 - 1);
+    ++searches;
+    identical += got3.azimuth == want3.x && got3.polar == want3.y ? 1 : 0;
+    EXPECT_LT(geom::circularDistance(got3.azimuth, want3.x), step)
+        << c.describe();
+    EXPECT_LT(std::abs(got3.polar - want3.y), 0.5 * polarStep)
+        << c.describe();
+  }
+  std::printf("[ kernel ] %zu of %zu searches bit-identical to the oracle's\n",
+              identical, searches);
+}
+
+TEST(ProfileKernel, DirectionValueIndependentOfBatch) {
+  testing::SyntheticConfig sc;
+  sc.noiseStd = 0.05;
+  const auto snaps = testing::makeSnapshots(sc);
+  for (const auto formula : {ProfileFormula::kRelativeQ,
+                             ProfileFormula::kEnhancedR}) {
+    ProfileConfig pc;
+    pc.formula = formula;
+    const PowerProfile profile(snaps, testing::defaultKinematics(), pc);
+    std::mt19937_64 rng(5);
+    std::uniform_real_distribution<double> angle(-10.0, 10.0);
+    for (size_t size = 1; size <= 17; ++size) {
+      std::vector<double> angles(size);
+      for (double& a : angles) a = angle(rng);
+      std::vector<double> out(size);
+      profile.evaluateGrid(angles, std::cos(0.4), out);
+      for (size_t i = 0; i < size; ++i) {
+        EXPECT_EQ(out[i], profile.evaluate(angles[i], 0.4))
+            << "size " << size << " index " << i;
+      }
+    }
+  }
+}
+
+TEST(ProfileKernel, AzimuthSearchGridIsSampleAzimuthGrid) {
+  testing::SyntheticConfig sc;
+  sc.noiseStd = 0.1;
+  const auto snaps = testing::makeSnapshots(sc);
+  const PowerProfile profile(snaps, testing::defaultKinematics(), {});
+  std::vector<double> seenAngles;
+  std::vector<double> seenValues;
+  const auto recording = [&](std::span<const double> phis,
+                             std::span<double> out) {
+    profile.evaluateGrid(phis, 1.0, out);
+    seenAngles.insert(seenAngles.end(), phis.begin(), phis.end());
+    seenValues.insert(seenValues.end(), out.begin(), out.end());
+  };
+  const dsp::GridMax1D best = dsp::maximizeCircular(recording, kGridPoints, 6);
+  EXPECT_EQ(best.x, estimateAzimuth(profile, {}).azimuth);
+  const std::vector<double> samples = profile.sampleAzimuth(kGridPoints);
+  ASSERT_GE(seenValues.size(), kGridPoints);
+  for (size_t i = 0; i < kGridPoints; ++i) {
+    EXPECT_EQ(seenAngles[i], dsp::circularGridAngle(i, kGridPoints)) << i;
+    EXPECT_EQ(seenValues[i], samples[i]) << i;
+  }
+}
+
+TEST(ProfileKernel, EvaluateGridRejectsSizeMismatch) {
+  testing::SyntheticConfig sc;
+  sc.count = 16;
+  const auto snaps = testing::makeSnapshots(sc);
+  const PowerProfile profile(snaps, testing::defaultKinematics(), {});
+  std::vector<double> angles(5, 0.5);
+  std::vector<double> out(4);
+  EXPECT_THROW(profile.evaluateGrid(angles, 1.0, out), std::invalid_argument);
+}
+
+}  // namespace
+}  // namespace tagspin::core

@@ -21,10 +21,11 @@
 #
 # A final pass builds with ThreadSanitizer (its own build dir -- TSan
 # cannot share objects with ASan) and runs the `tsan`-labeled tests: the
-# lock-free MPMC ring, the obs metric atomics, and the fleet worker pool
-# (runtime_test includes the pool-vs-inline parity test), i.e. every place
-# the codebase relies on acquire/release or relaxed memory orders or hands
-# shards across threads.
+# lock-free MPMC ring, the obs metric atomics, the fleet worker pool
+# (runtime_test includes the pool-vs-inline parity test) and the spectrum
+# kernel's thread_local scratch (profile_contract_test evaluates one
+# profile from four threads), i.e. every place the codebase relies on
+# acquire/release or relaxed memory orders or shares state across threads.
 #
 # Usage: tools/run_sanitized.sh [build-dir] [extra ctest args...]
 # Default build dir: build-asan (the TSan pass uses <build-dir>-tsan).
@@ -94,11 +95,11 @@ ASAN_OPTIONS="${ASAN_OPTIONS}:allocator_may_return_null=1" \
 if [[ "${TAGSPIN_SKIP_TSAN:-0}" != "1" ]]; then
   TSAN_BUILD_DIR="${BUILD_DIR}-tsan"
   echo
-  echo "== ThreadSanitizer pass over runtime + obs (ctest -L tsan) =="
+  echo "== ThreadSanitizer pass over runtime + obs + kernel (ctest -L tsan) =="
   cmake -B "$TSAN_BUILD_DIR" -S . "${GEN_ARGS[@]}" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DTAGSPIN_SANITIZE="thread"
-  cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" --target runtime_test obs_test
+  cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" --target runtime_test obs_test profile_contract_test
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -L tsan
 fi
