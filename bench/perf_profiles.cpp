@@ -1,9 +1,11 @@
 // Microbenchmarks of the hot paths (google-benchmark): profile evaluation
 // (one direction per call, and 720-point evaluateGrid sweeps), azimuth
 // spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
-// search, and the end-to-end 2D fix.
+// search, and the end-to-end 2D fix (strict locate2D and the resilient
+// tryLocate2D).
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <random>
 
 #include "core/locator.hpp"
@@ -142,6 +144,27 @@ void BM_Locate2D(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Locate2D);
+
+void BM_TryLocate2D(benchmark::State& state) {
+  // Three rigs, 1024 snapshots each, paper config, no orientation model:
+  // the health check, the search and the spin diagnostics share each rig's
+  // one spectrum.
+  const double readerX = 0.3;
+  const double readerY = 2.0;
+  std::vector<core::RigObservation> obs;
+  for (const double x : {-0.4, 0.0, 0.4}) {
+    core::RigObservation o;
+    o.rig.center = {x, 0.0, 0.0};
+    o.rig.kinematics = kKin;
+    o.snapshots = makeSnapshots(1024, std::atan2(readerY, readerX - x));
+    obs.push_back(std::move(o));
+  }
+  const core::Locator locator;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(locator.tryLocate2D(obs));
+  }
+}
+BENCHMARK(BM_TryLocate2D)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

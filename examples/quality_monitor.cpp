@@ -54,7 +54,8 @@ int main() {
     for (size_t i = 0; i < observations.size(); ++i) {
       const core::PowerProfile profile(observations[i].snapshots,
                                        observations[i].rig.kinematics, {});
-      spectra.push_back(core::assessSpectrum(profile));
+      spectra.push_back(
+          core::assessSpectrumSamples(profile.sampleAzimuth(720)));
       rays.push_back({observations[i].rig.center.xy(),
                       fix.directions[i].azimuth});
     }

@@ -45,31 +45,26 @@ void Locator::setMetrics(obs::MetricsRegistry* registry) {
   obs_ = Instruments::resolve(registry);
 }
 
-PowerProfile Locator::timedProfile(const std::vector<Snapshot>& snaps,
+Locator::RigPass Locator::searchRig(std::span<const Snapshot> snaps,
                                    const RigSpec& rig,
-                                   const ProfileConfig& cfg) const {
-  TAGSPIN_SPAN(obs_.profileEval);
-  return PowerProfile(snaps, rig.kinematics, cfg);
-}
-
-AzimuthEstimate Locator::timedAzimuth(const std::vector<Snapshot>& snaps,
-                                      const RigSpec& rig,
-                                      const ProfileConfig& cfg) const {
-  const PowerProfile profile = timedProfile(snaps, rig, cfg);
+                                   const ProfileConfig& cfg,
+                                   bool threeD) const {
+  RigPass pass{[&] {
+                 TAGSPIN_SPAN(obs_.profileEval);
+                 return PowerProfile(snaps, rig.kinematics, cfg);
+               }(),
+               {},
+               {}};
   TAGSPIN_SPAN(obs_.spectrumSearch);
-  return estimateAzimuth(profile, config_.search);
-}
-
-SpatialEstimate Locator::timedSpatial(const std::vector<Snapshot>& snaps,
-                                      const RigSpec& rig,
-                                      const ProfileConfig& cfg) const {
-  std::optional<PowerProfile> profile;
-  {
-    TAGSPIN_SPAN(obs_.profileEval);
-    profile.emplace(snaps, rig.kinematics, cfg);
+  if (threeD) {
+    const SpatialEstimate est = estimateSpatial(pass.profile, config_.search);
+    pass.direction = {est.azimuth, est.polar, est.value};
+  } else {
+    pass.spectrum = searchAzimuth(pass.profile, config_.search);
+    pass.direction = {pass.spectrum.peak.azimuth, 0.0,
+                      pass.spectrum.peak.value};
   }
-  TAGSPIN_SPAN(obs_.spectrumSearch);
-  return estimateSpatial(*profile, config_.search);
+  return pass;
 }
 
 /// Fold one resilient fix's degradation report into the locator.* counters.
@@ -103,66 +98,51 @@ void Locator::noteEstimationOutcome(
   obs::set(obs_.inlierFraction, estimation.inlierFraction);
 }
 
-std::vector<Snapshot> Locator::calibrated(const RigObservation& obs,
-                                          double azimuthEstimate) const {
-  return calibrateOrientation(obs.snapshots, obs.rig.kinematics,
-                              obs.orientation, azimuthEstimate);
-}
-
 namespace {
+
+bool calibratesOrientation(const LocatorConfig& config,
+                           std::span<const RigObservation> observations) {
+  return config.orientationIterations > 0 &&
+         std::any_of(observations.begin(), observations.end(),
+                     [](const RigObservation& o) {
+                       return !o.orientation.isIdentity();
+                     });
+}
 
 /// The orientation-calibration loop needs a starting azimuth before any
 /// correction is available.  The enhanced profile's Gaussian weights assume
 /// orientation-free residuals, so the *initial* estimate uses the relative
 /// profile Q, which is robust to the (still uncorrected) orientation offset;
 /// later iterations switch to the configured formula.
-ProfileConfig bootstrapConfig(ProfileConfig base) {
-  if (base.formula == ProfileFormula::kEnhancedR) {
-    base.formula = ProfileFormula::kRelativeQ;
+ProfileConfig passZeroConfig(const LocatorConfig& config,
+                             std::span<const RigObservation> observations) {
+  ProfileConfig cfg = config.profile;
+  if (cfg.formula == ProfileFormula::kEnhancedR &&
+      calibratesOrientation(config, observations)) {
+    cfg.formula = ProfileFormula::kRelativeQ;
   }
-  return base;
+  return cfg;
 }
 
 }  // namespace
 
-RigDirection Locator::estimateDirection2D(const RigObservation& obs) const {
-  const bool calibrate =
-      !obs.orientation.isIdentity() && config_.orientationIterations > 0;
-  const ProfileConfig firstConfig =
-      calibrate ? bootstrapConfig(config_.profile) : config_.profile;
-  AzimuthEstimate est = timedAzimuth(obs.snapshots, obs.rig, firstConfig);
-  if (calibrate) {
-    for (int it = 0; it < config_.orientationIterations; ++it) {
-      const std::vector<Snapshot> snaps = calibrated(obs, est.azimuth);
-      est = timedAzimuth(snaps, obs.rig, config_.profile);
-    }
-  }
-  return {est.azimuth, 0.0, est.value};
-}
-
-RigDirection Locator::estimateDirection3D(const RigObservation& obs) const {
-  const bool calibrate =
-      !obs.orientation.isIdentity() && config_.orientationIterations > 0;
-  const ProfileConfig firstConfig =
-      calibrate ? bootstrapConfig(config_.profile) : config_.profile;
-  SpatialEstimate est = timedSpatial(obs.snapshots, obs.rig, firstConfig);
-  if (calibrate) {
-    for (int it = 0; it < config_.orientationIterations; ++it) {
-      const std::vector<Snapshot> snaps = calibrated(obs, est.azimuth);
-      est = timedSpatial(snaps, obs.rig, config_.profile);
-    }
-  }
-  return {est.azimuth, est.polar, est.value};
-}
-
-Locator::RigBearing Locator::diagnoseBearing(const PowerProfile& profile,
-                                             double azimuth, double value,
-                                             double gamma) const {
+Locator::RigBearing Locator::diagnoseBearing(const RigPass& pass,
+                                             bool threeD) const {
+  const PowerProfile& profile = pass.profile;
+  const double azimuth = pass.direction.azimuth;
+  const double gamma = pass.direction.polar;
   RigBearing bearing;
-  bearing.candidates.push_back({geom::wrapTwoPi(azimuth), value});
+  bearing.candidates.push_back(
+      {geom::wrapTwoPi(azimuth), pass.direction.peakValue});
   if (!config_.robust.diagnostics) return bearing;
-  const std::vector<double> samples =
-      profile.sampleAzimuth(config_.search.azimuthGridPoints, gamma);
+  // 2D reads the grid the search scanned.  The 3D search's rectangle rows
+  // need not include the found gamma, so 3D sweeps that row.
+  std::vector<double> row;
+  if (threeD) {
+    row = profile.sampleAzimuth(config_.search.azimuthGridPoints, gamma);
+  }
+  const std::span<const double> samples =
+      threeD ? std::span<const double>(row) : pass.spectrum.grid;
   const double ghost =
       1.0 - profile.weightStats(azimuth, gamma).effectiveFraction;
   bearing.spin = robust::diagnoseSpectrum(samples, ghost,
@@ -258,64 +238,45 @@ geom::Vec2 Locator::intersectBearings(
   return solved->point;
 }
 
-Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
+Fix2D Locator::locateXY(std::span<const RigObservation> observations,
+                        bool threeD,
+                        std::vector<std::optional<RigPass>> pass0) const {
   if (observations.size() < 2) {
-    throw std::invalid_argument("locate2D: need at least two rigs");
+    throw std::invalid_argument(threeD ? "locate3D: need at least two rigs"
+                                       : "locate2D: need at least two rigs");
   }
-  const bool anyModel =
-      config_.orientationIterations > 0 &&
-      std::any_of(observations.begin(), observations.end(),
-                  [](const RigObservation& o) {
-                    return !o.orientation.isIdentity();
-                  });
-
-  // Pass 0: bootstrap directions without calibration (Q formula when the
-  // enhanced profile is configured -- see bootstrapConfig).
-  const ProfileConfig cfg0 =
-      anyModel ? bootstrapConfig(config_.profile) : config_.profile;
+  const size_t n = observations.size();
+  const ProfileConfig cfg0 = passZeroConfig(config_, observations);
+  const int passes = calibratesOrientation(config_, observations)
+                         ? config_.orientationIterations
+                         : 0;
   Fix2D fix;
-  fix.directions.reserve(observations.size());
-  std::vector<RigBearing> bearings;
-  bearings.reserve(observations.size());
-  for (const RigObservation& obs : observations) {
-    const PowerProfile profile =
-        timedProfile(obs.snapshots, obs.rig, cfg0);
-    AzimuthEstimate est;
-    {
-      TAGSPIN_SPAN(obs_.spectrumSearch);
-      est = estimateAzimuth(profile, config_.search);
+  fix.directions.resize(n);
+  std::vector<RigBearing> bearings(n);
+  // One rig's pass: pass 0 reads the raw snapshots (or the pass already
+  // searched for it); later passes correct each rig's phases against the
+  // running fix (exact tag-edge geometry; rho lives in the rigs' horizontal
+  // plane, so only xy matters) and use the configured profile.
+  auto runPass = [&](size_t i, int pass, const geom::Vec3& at) -> RigPass {
+    const RigObservation& obs = observations[i];
+    if (pass > 0) {
+      const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
+          obs.snapshots, obs.rig, obs.orientation, at);
+      return searchRig(snaps, obs.rig, config_.profile, threeD);
     }
-    fix.directions.push_back({est.azimuth, 0.0, est.value});
-    bearings.push_back(diagnoseBearing(profile, est.azimuth, est.value, 0.0));
-  }
-  fix.position = intersectBearings(observations, bearings, fix.directions,
-                                   fix.estimation, &fix.residualM);
-
-  if (anyModel) {
-    // Orientation-calibration loop: correct each rig's phases against the
-    // current *position* estimate (exact tag-edge geometry), re-estimate.
-    for (int it = 0; it < config_.orientationIterations; ++it) {
-      const geom::Vec3 est3{fix.position.x, fix.position.y,
-                            observations[0].rig.center.z};
-      for (size_t i = 0; i < observations.size(); ++i) {
-        const RigObservation& obs = observations[i];
-        const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
-            obs.snapshots, obs.rig, obs.orientation, est3);
-        const PowerProfile profile =
-            timedProfile(snaps, obs.rig, config_.profile);
-        AzimuthEstimate est;
-        {
-          TAGSPIN_SPAN(obs_.spectrumSearch);
-          est = estimateAzimuth(profile, config_.search);
-        }
-        fix.directions[i] = {est.azimuth, 0.0, est.value};
-        bearings[i] =
-            diagnoseBearing(profile, est.azimuth, est.value, 0.0);
-      }
-      fix.position = intersectBearings(observations, bearings,
-                                       fix.directions, fix.estimation,
-                                       &fix.residualM);
+    if (i < pass0.size() && pass0[i]) return std::move(*pass0[i]);
+    return searchRig(obs.snapshots, obs.rig, cfg0, threeD);
+  };
+  for (int pass = 0; pass <= passes; ++pass) {
+    const geom::Vec3 at{fix.position.x, fix.position.y,
+                        observations[0].rig.center.z};
+    for (size_t i = 0; i < n; ++i) {
+      const RigPass rigPass = runPass(i, pass, at);
+      fix.directions[i] = rigPass.direction;
+      bearings[i] = diagnoseBearing(rigPass, threeD);
     }
+    fix.position = intersectBearings(observations, bearings, fix.directions,
+                                     fix.estimation, &fix.residualM);
   }
   for (RigBearing& b : bearings) {
     fix.estimation.spins.push_back(std::move(b.spin));
@@ -328,70 +289,17 @@ Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
   return fix;
 }
 
+Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
+  return locateXY(observations, /*threeD=*/false, {});
+}
+
 Fix3D Locator::locate3D(std::span<const RigObservation> observations) const {
-  if (observations.size() < 2) {
-    throw std::invalid_argument("locate3D: need at least two rigs");
-  }
-  const bool anyModel =
-      config_.orientationIterations > 0 &&
-      std::any_of(observations.begin(), observations.end(),
-                  [](const RigObservation& o) {
-                    return !o.orientation.isIdentity();
-                  });
-
-  const ProfileConfig cfg0 =
-      anyModel ? bootstrapConfig(config_.profile) : config_.profile;
+  Fix2D planar = locateXY(observations, /*threeD=*/true, {});
+  const geom::Vec2 xy = planar.position;
   Fix3D fix;
-  fix.directions.reserve(observations.size());
-  std::vector<RigBearing> bearings;
-  bearings.reserve(observations.size());
-  for (const RigObservation& obs : observations) {
-    const PowerProfile profile =
-        timedProfile(obs.snapshots, obs.rig, cfg0);
-    SpatialEstimate est;
-    {
-      TAGSPIN_SPAN(obs_.spectrumSearch);
-      est = estimateSpatial(profile, config_.search);
-    }
-    fix.directions.push_back({est.azimuth, est.polar, est.value});
-    bearings.push_back(
-        diagnoseBearing(profile, est.azimuth, est.value, est.polar));
-  }
-  geom::Vec2 xy = intersectBearings(observations, bearings, fix.directions,
-                                    fix.estimation, &fix.residualM);
-
-  if (anyModel) {
-    for (int it = 0; it < config_.orientationIterations; ++it) {
-      // rho lives in the rigs' horizontal plane, so only the xy estimate
-      // matters for the correction.
-      const geom::Vec3 est3{xy.x, xy.y, observations[0].rig.center.z};
-      for (size_t i = 0; i < observations.size(); ++i) {
-        const RigObservation& obs = observations[i];
-        const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
-            obs.snapshots, obs.rig, obs.orientation, est3);
-        const PowerProfile profile =
-            timedProfile(snaps, obs.rig, config_.profile);
-        SpatialEstimate est;
-        {
-          TAGSPIN_SPAN(obs_.spectrumSearch);
-          est = estimateSpatial(profile, config_.search);
-        }
-        fix.directions[i] = {est.azimuth, est.polar, est.value};
-        bearings[i] =
-            diagnoseBearing(profile, est.azimuth, est.value, est.polar);
-      }
-      xy = intersectBearings(observations, bearings, fix.directions,
-                             fix.estimation, &fix.residualM);
-    }
-  }
-  for (RigBearing& b : bearings) {
-    fix.estimation.spins.push_back(std::move(b.spin));
-  }
-  if (config_.robust.bootstrap) {
-    fix.estimation.ellipse =
-        bootstrapEllipse2D(observations, fix.directions, xy);
-  }
-  noteEstimationOutcome(fix.estimation);
+  fix.directions = std::move(planar.directions);
+  fix.residualM = planar.residualM;
+  fix.estimation = std::move(planar.estimation);
 
   // Eqn. 13: each rig predicts |z| = horizontal_distance * tan(|gamma|);
   // balance the estimates weighted by spectrum confidence.
@@ -500,6 +408,7 @@ double fallbackScore(const RigHealth& h) {
 
 std::string unhealthyReason(const RigHealth& h,
                             const RigHealthThresholds& t) {
+  if (!h.profileError.empty()) return h.profileError;
   std::string why;
   if (h.snapshotCount < t.minSnapshots) {
     why += "snapshots " + std::to_string(h.snapshotCount) + " < " +
@@ -525,44 +434,38 @@ std::string unhealthyReason(const RigHealth& h,
   return why.empty() ? "healthy" : why;
 }
 
-/// Shared front half of tryLocate2D/3D: health assessment and rig
-/// selection.  On success `report` has grade/health/used/dropped filled in
+Error tooFewRigs(size_t offered) {
+  return Error{ErrorCode::kTooFewRigs,
+               "tryLocate: need at least two rigs, got " +
+                   std::to_string(offered)};
+}
+
+/// Shared middle of tryLocate2D/3D: rig selection from each offered rig's
+/// health.  On success `report` has grade/health/used/dropped filled in
 /// (confidence is completed by the caller once directions exist).
-Result<ResilienceReport> selectRigs(std::span<const RigObservation> obs,
-                                    const RigHealthThresholds& thresholds,
-                                    const ProfileConfig& profile,
-                                    const RobustEstimationConfig& robustCfg) {
-  if (obs.size() < 2) {
-    return Error{ErrorCode::kTooFewRigs,
-                 "tryLocate: need at least two rigs, got " +
-                     std::to_string(obs.size())};
-  }
-  const robust::SpinDiagnosticsConfig* diag =
-      robustCfg.diagnostics ? &robustCfg.diagnosticsConfig : nullptr;
+Result<ResilienceReport> selectRigs(std::vector<RigHealth> health,
+                                    const RigHealthThresholds& thresholds) {
+  const size_t offered = health.size();
   ResilienceReport report;
-  report.rigHealth.reserve(obs.size());
-  for (const RigObservation& o : obs) {
-    report.rigHealth.push_back(
-        assessRigHealth(o.snapshots, o.rig.kinematics, profile, diag));
-  }
+  report.rigHealth = std::move(health);
 
   std::vector<size_t> healthy;
-  for (size_t i = 0; i < obs.size(); ++i) {
+  for (size_t i = 0; i < offered; ++i) {
     if (isHealthy(report.rigHealth[i], thresholds)) healthy.push_back(i);
   }
 
   if (healthy.size() >= 2) {
     report.usedRigs = healthy;
     report.grade =
-        healthy.size() == obs.size() ? FixGrade::kFull : FixGrade::kDegraded;
+        healthy.size() == offered ? FixGrade::kFull : FixGrade::kDegraded;
   } else {
     // Fallback: the PowerProfile needs >= 2 snapshots and the spectrum must
     // not be flat; among those minimally usable rigs take the best two.
     std::vector<size_t> usable;
-    for (size_t i = 0; i < obs.size(); ++i) {
+    for (size_t i = 0; i < offered; ++i) {
       const RigHealth& h = report.rigHealth[i];
-      if (h.snapshotCount >= 2 && h.arcCoverage > 0.0 &&
-          h.spectrum.peakValue > 0.0) {
+      if (h.profileError.empty() && h.snapshotCount >= 2 &&
+          h.arcCoverage > 0.0 && h.spectrum.peakValue > 0.0) {
         usable.push_back(i);
       }
     }
@@ -570,7 +473,7 @@ Result<ResilienceReport> selectRigs(std::span<const RigObservation> obs,
       return Error{
           ErrorCode::kTooFewHealthyRigs,
           "tryLocate: only " + std::to_string(usable.size()) + " of " +
-              std::to_string(obs.size()) +
+              std::to_string(offered) +
               " rigs are usable; need two for a fix"};
     }
     std::sort(usable.begin(), usable.end(), [&](size_t a, size_t b) {
@@ -583,7 +486,7 @@ Result<ResilienceReport> selectRigs(std::span<const RigObservation> obs,
     report.grade = FixGrade::kMinimal;
   }
 
-  for (size_t i = 0; i < obs.size(); ++i) {
+  for (size_t i = 0; i < offered; ++i) {
     if (std::find(report.usedRigs.begin(), report.usedRigs.end(), i) ==
         report.usedRigs.end()) {
       report.droppedRigs.push_back(i);
@@ -650,20 +553,64 @@ std::vector<RigObservation> subsetObservations(
 
 }  // namespace
 
+std::vector<RigHealth> Locator::assessHealth(
+    std::span<const RigObservation> observations,
+    std::vector<std::optional<RigPass>>* pass0) const {
+  const robust::SpinDiagnosticsConfig* diag =
+      config_.robust.diagnostics ? &config_.robust.diagnosticsConfig
+                                 : nullptr;
+  std::vector<RigHealth> health;
+  health.reserve(observations.size());
+  for (const RigObservation& o : observations) {
+    std::optional<RigPass> pass;
+    if (pass0 != nullptr && o.snapshots.size() >= 2) {
+      try {
+        pass.emplace(searchRig(o.snapshots, o.rig, config_.profile,
+                               /*threeD=*/false));
+      } catch (const std::invalid_argument&) {
+        // No profile: the sweeping form below records the constructor's
+        // message in profileError.
+      }
+    }
+    health.push_back(
+        pass ? assessRigHealth(o.snapshots, o.rig.kinematics, pass->profile,
+                               pass->spectrum.grid, diag)
+             : assessRigHealth(o.snapshots, o.rig.kinematics,
+                               config_.profile, diag,
+                               config_.search.azimuthGridPoints));
+    if (pass0 != nullptr) pass0->push_back(std::move(pass));
+  }
+  return health;
+}
+
 Result<ResilientFix2D> Locator::tryLocate2D(
     std::span<const RigObservation> observations,
     const RigHealthThresholds& thresholds) const {
   obs::add(obs_.fix2dAttempts);
   TAGSPIN_SPAN(obs_.fix2d);
-  Result<ResilienceReport> selected =
-      selectRigs(observations, thresholds, config_.profile, config_.robust);
+  if (observations.size() < 2) return tooFewRigs(observations.size());
+  // Health assesses the configured profile of the raw snapshots.  That is
+  // pass 0's profile unless pass 0 switches to Q for orientation
+  // calibration; when it is, each rig's pass 0 is searched once, health
+  // reads its grid and the fix reuses it.
+  const bool share = passZeroConfig(config_, observations).formula ==
+                     config_.profile.formula;
+  std::vector<std::optional<RigPass>> pass0;
+  Result<ResilienceReport> selected = selectRigs(
+      assessHealth(observations, share ? &pass0 : nullptr), thresholds);
   if (!selected) return selected.error();
   ResilientFix2D out;
   out.report = std::move(*selected);
   const std::vector<RigObservation> used =
       subsetObservations(observations, out.report.usedRigs);
+  std::vector<std::optional<RigPass>> usedPass0;
+  if (share) {
+    for (size_t i : out.report.usedRigs) {
+      usedPass0.push_back(std::move(pass0[i]));
+    }
+  }
   try {
-    out.fix = locate2D(used);
+    out.fix = locateXY(used, /*threeD=*/false, std::move(usedPass0));
   } catch (const std::exception& e) {
     return Error{ErrorCode::kDegenerateGeometry, e.what()};
   }
@@ -680,8 +627,9 @@ Result<ResilientFix3D> Locator::tryLocate3D(
     const RigHealthThresholds& thresholds) const {
   obs::add(obs_.fix3dAttempts);
   TAGSPIN_SPAN(obs_.fix3d);
+  if (observations.size() < 2) return tooFewRigs(observations.size());
   Result<ResilienceReport> selected =
-      selectRigs(observations, thresholds, config_.profile, config_.robust);
+      selectRigs(assessHealth(observations, nullptr), thresholds);
   if (!selected) return selected.error();
   ResilientFix3D out;
   out.report = std::move(*selected);

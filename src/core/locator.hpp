@@ -123,13 +123,6 @@ class Locator {
   /// path never touches the registry's lock.
   void setMetrics(obs::MetricsRegistry* registry);
 
-  /// Azimuth spectrum of a single rig, with iterative orientation
-  /// calibration when a model is installed.
-  RigDirection estimateDirection2D(const RigObservation& obs) const;
-
-  /// (azimuth, polar) spectrum of a single rig, 3D.
-  RigDirection estimateDirection3D(const RigObservation& obs) const;
-
   /// 2D fix from >= 2 horizontal rigs (Eqn. 9 for two rigs via the robust
   /// equivalent; least squares for more).  Throws std::invalid_argument on
   /// fewer than 2 rigs; std::runtime_error when all rays are parallel.
@@ -143,8 +136,12 @@ class Locator {
   /// Graceful-degradation variants: assess every rig's health, drop rigs
   /// below `thresholds`, fall back to the best-scoring pair when fewer than
   /// two healthy rigs remain, and report failure causes via ErrorCode
-  /// instead of throwing.  When every rig is healthy the fix is bit-identical
-  /// to locate2D/3D on the same observations.
+  /// instead of throwing -- a rig whose profile cannot be built is dropped
+  /// with the constructor's message as its reason.  When every rig is
+  /// healthy the fix is bit-identical to locate2D/3D on the same
+  /// observations.  tryLocate2D builds each rig's pass-0 spectrum once and
+  /// both the health check and the fix read it, whenever the two would build
+  /// the same profile (DESIGN.md section 4.4).
   Result<ResilientFix2D> tryLocate2D(
       std::span<const RigObservation> observations,
       const RigHealthThresholds& thresholds = {}) const;
@@ -190,24 +187,39 @@ class Locator {
     robust::SpinDiagnostics spin;
   };
 
-  std::vector<Snapshot> calibrated(const RigObservation& obs,
-                                   double azimuthEstimate) const;
-  /// Profile build for one rig, timed under span.profile_eval.
-  PowerProfile timedProfile(const std::vector<Snapshot>& snaps,
-                            const RigSpec& rig,
-                            const ProfileConfig& cfg) const;
-  /// Profile build + azimuth (or spatial) search for one rig, timed under
-  /// span.profile_eval / span.spectrum_search.
-  AzimuthEstimate timedAzimuth(const std::vector<Snapshot>& snaps,
-                               const RigSpec& rig,
-                               const ProfileConfig& cfg) const;
-  SpatialEstimate timedSpatial(const std::vector<Snapshot>& snaps,
-                               const RigSpec& rig,
-                               const ProfileConfig& cfg) const;
-  /// Spin diagnosis + candidate extraction for an already-searched profile
-  /// (no-op single-candidate bearing when diagnostics are disabled).
-  RigBearing diagnoseBearing(const PowerProfile& profile, double azimuth,
-                             double value, double gamma) const;
+  /// One rig's calibration pass: the profile, the search's result on it,
+  /// and the direction it gives.  In 2D `spectrum` holds the search's grid
+  /// and refined peak; the 3D search scans a rectangle and leaves it empty.
+  struct RigPass {
+    PowerProfile profile;
+    RigSpectrum spectrum;
+    RigDirection direction;
+  };
+
+  /// Profile build (timed under span.profile_eval) and search (under
+  /// span.spectrum_search) of one rig's snapshots for one pass.
+  RigPass searchRig(std::span<const Snapshot> snaps, const RigSpec& rig,
+                    const ProfileConfig& cfg, bool threeD) const;
+  /// Spin diagnosis + candidate extraction for a searched pass (no-op
+  /// single-candidate bearing when diagnostics are disabled).  2D reads the
+  /// pass's grid; 3D sweeps the azimuth row at the found polar angle.
+  RigBearing diagnoseBearing(const RigPass& pass, bool threeD) const;
+  /// The calibration passes locate2D and locate3D share: pass 0 on the raw
+  /// snapshots, then orientationIterations passes on snapshots corrected at
+  /// the running fix when some rig carries an orientation model.  Each pass
+  /// searches and diagnoses every rig, then intersects the bearings.  The
+  /// result's position is the xy fix.  `pass0` is empty or parallel to
+  /// `observations`; a filled entry is that rig's pass 0, already searched.
+  /// Throws like locate2D/3D.
+  Fix2D locateXY(std::span<const RigObservation> observations, bool threeD,
+                 std::vector<std::optional<RigPass>> pass0) const;
+  /// Health of every offered rig.  With `pass0` set, each rig's pass-0
+  /// spectrum is searched here, health reads its grid and the pass is
+  /// appended to `pass0` (nullopt for a rig with no profile); otherwise
+  /// health sweeps its own grid of search.azimuthGridPoints points.
+  std::vector<RigHealth> assessHealth(
+      std::span<const RigObservation> observations,
+      std::vector<std::optional<RigPass>>* pass0) const;
   /// Intersect the (possibly multi-candidate) bearings: consensus voting
   /// for >= 3 rays when enabled, exact two-ray / detailed least squares
   /// otherwise.  Updates `directions` to the chosen candidates and fills

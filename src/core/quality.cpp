@@ -3,18 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <stdexcept>
 
 #include "dsp/grid.hpp"
 #include "dsp/peaks.hpp"
 #include "geom/angles.hpp"
 
 namespace tagspin::core {
-
-SpectrumQuality assessSpectrum(const PowerProfile& profile,
-                               size_t gridPoints) {
-  const std::vector<double> samples = profile.sampleAzimuth(gridPoints);
-  return assessSpectrumSamples(samples);
-}
 
 SpectrumQuality assessSpectrumSamples(std::span<const double> samples) {
   const size_t gridPoints = samples.size();
@@ -36,20 +32,6 @@ SpectrumQuality assessSpectrumSamples(std::span<const double> samples) {
                     ? peaks[0].value / std::max(peaks[1].value, 1e-12)
                     : std::numeric_limits<double>::infinity();
   return q;
-}
-
-robust::SpinDiagnostics diagnoseSpin(
-    const PowerProfile& profile, size_t gridPoints, double gamma,
-    const robust::SpinDiagnosticsConfig& config) {
-  const std::vector<double> samples =
-      profile.sampleAzimuth(gridPoints, gamma);
-  double ghost = 0.0;
-  if (!samples.empty()) {
-    const double peakPhi =
-        dsp::circularGridAngle(dsp::argmax(samples), samples.size());
-    ghost = 1.0 - profile.weightStats(peakPhi, gamma).effectiveFraction;
-  }
-  return robust::diagnoseSpectrum(samples, ghost, config);
 }
 
 double bearingGdop(std::span<const geom::Ray2> rays, const geom::Vec2& fix) {
@@ -88,10 +70,12 @@ double bearingGdop(std::span<const geom::Ray2> rays, const geom::Vec2& fix) {
                      : std::numeric_limits<double>::infinity();
 }
 
-RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
-                          const RigKinematics& kinematics,
-                          const ProfileConfig& profile,
-                          const robust::SpinDiagnosticsConfig* diagnostics) {
+namespace {
+
+/// The part of a rig's health that needs no profile: snapshot count,
+/// duration and arc coverage.
+RigHealth assessCoverage(std::span<const Snapshot> snapshots,
+                         const RigKinematics& kinematics) {
   RigHealth h;
   h.snapshotCount = snapshots.size();
   if (snapshots.empty()) return h;
@@ -111,19 +95,43 @@ RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
   int filled = 0;
   for (bool b : occupied) filled += b ? 1 : 0;
   h.arcCoverage = static_cast<double>(filled) / kBins;
-  if (snapshots.size() >= 2) {
-    const PowerProfile p(snapshots, kinematics, profile);
-    constexpr size_t kGridPoints = 720;
-    const std::vector<double> samples = p.sampleAzimuth(kGridPoints);
-    h.spectrum = assessSpectrumSamples(samples);
-    if (diagnostics != nullptr) {
-      const double peakPhi =
-          dsp::circularGridAngle(dsp::argmax(samples), samples.size());
-      const double ghost = 1.0 - p.weightStats(peakPhi).effectiveFraction;
-      h.spin = robust::diagnoseSpectrum(samples, ghost, *diagnostics);
-    }
+  return h;
+}
+
+}  // namespace
+
+RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
+                          const RigKinematics& kinematics,
+                          const PowerProfile& profile,
+                          std::span<const double> grid,
+                          const robust::SpinDiagnosticsConfig* diagnostics) {
+  RigHealth h = assessCoverage(snapshots, kinematics);
+  h.spectrum = assessSpectrumSamples(grid);
+  if (diagnostics != nullptr && !grid.empty()) {
+    const double peakPhi =
+        dsp::circularGridAngle(dsp::argmax(grid), grid.size());
+    const double ghost = 1.0 - profile.weightStats(peakPhi).effectiveFraction;
+    h.spin = robust::diagnoseSpectrum(grid, ghost, *diagnostics);
   }
   return h;
+}
+
+RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
+                          const RigKinematics& kinematics,
+                          const ProfileConfig& profile,
+                          const robust::SpinDiagnosticsConfig* diagnostics,
+                          size_t gridPoints) {
+  if (snapshots.size() < 2) return assessCoverage(snapshots, kinematics);
+  std::optional<PowerProfile> p;
+  try {
+    p.emplace(snapshots, kinematics, profile);
+  } catch (const std::invalid_argument& e) {
+    RigHealth h = assessCoverage(snapshots, kinematics);
+    h.profileError = e.what();
+    return h;
+  }
+  return assessRigHealth(snapshots, kinematics, *p,
+                         p->sampleAzimuth(gridPoints), diagnostics);
 }
 
 bool isHealthy(const RigHealth& health,

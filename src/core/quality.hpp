@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <span>
+#include <string>
 
 #include "core/power_profile.hpp"
 #include "core/snapshot.hpp"
@@ -31,20 +32,10 @@ struct SpectrumQuality {
   double peakRatio = 0.0;
 };
 
-/// Quality of a single rig's azimuth spectrum.
-SpectrumQuality assessSpectrum(const PowerProfile& profile,
-                               size_t gridPoints = 720);
-
-/// Same, over an already-sampled spectrum (samples[i] at angle 2*pi*i/n);
-/// lets callers that also run spin diagnostics sample the profile once.
+/// Quality of a single rig's azimuth spectrum, sampled on
+/// dsp::circularGrid(samples.size()) -- e.g. a RigSpectrum's grid, or
+/// PowerProfile::sampleAzimuth.
 SpectrumQuality assessSpectrumSamples(std::span<const double> samples);
-
-/// Full spin self-diagnosis of a profile: spectrum-shape diagnostics plus
-/// the ghost-peak score from the profile's likelihood weights at the main
-/// peak (robust/spectrum_diag.hpp describes the verdict ladder).
-robust::SpinDiagnostics diagnoseSpin(
-    const PowerProfile& profile, size_t gridPoints = 720, double gamma = 0.0,
-    const robust::SpinDiagnosticsConfig& config = {});
 
 /// Horizontal GDOP of a set of bearing rays at a candidate fix: the
 /// RMS position error per radian of (independent, unit-variance) bearing
@@ -70,13 +61,18 @@ struct RigHealth {
   /// (occupied fraction of a 24-bin histogram of the kinematics' disk
   /// angle).  A rig silent for 30% of the spin scores ~0.7.
   double arcCoverage = 0.0;
-  /// Quality of the azimuth spectrum; defaulted when snapshotCount < 2
-  /// (no profile can be built).
+  /// Quality of the azimuth spectrum; defaulted when no profile could be
+  /// built (fewer than 2 snapshots, or see profileError).
   SpectrumQuality spectrum;
   /// Spin self-diagnosis (verdict, candidate peaks, ghost score); verdict
   /// stays kAccept when diagnostics were not requested or no profile could
-  /// be built from fewer than 2 snapshots.
+  /// be built.
   robust::SpinDiagnostics spin;
+  /// Why the PowerProfile constructor rejected these snapshots (e.g. a
+  /// non-positive rig radius or a snapshot without a wavelength); empty when
+  /// the profile was built or fewer than 2 snapshots left nothing to build.
+  /// A rig with a profile error is never healthy nor usable.
+  std::string profileError;
 };
 
 struct RigHealthThresholds {
@@ -90,14 +86,29 @@ struct RigHealthThresholds {
   bool rejectQuarantined = true;
 };
 
-/// Assess a rig's snapshots.  Never throws; degenerate inputs simply score
-/// zero everywhere.  `diagnostics` controls whether the spin self-diagnosis
-/// runs (null: skip, verdict stays kAccept).
+/// Assess a rig's snapshots against an already-built profile of them.
+/// `grid` is that profile sampled on dsp::circularGrid(grid.size()) -- the
+/// RigSpectrum the azimuth search kept -- and is read instead of sweeping
+/// the profile again.  `diagnostics` controls whether the spin
+/// self-diagnosis runs (null: skip, verdict stays kAccept); its ghost score
+/// is taken at the grid's argmax.
+RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
+                          const RigKinematics& kinematics,
+                          const PowerProfile& profile,
+                          std::span<const double> grid,
+                          const robust::SpinDiagnosticsConfig* diagnostics =
+                              nullptr);
+
+/// Same, building the profile from `profile` and sampling it on a
+/// `gridPoints`-point grid.  Never throws; degenerate inputs simply score
+/// zero everywhere, and a profile the constructor rejects leaves its
+/// message in RigHealth::profileError.
 RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
                           const RigKinematics& kinematics,
                           const ProfileConfig& profile = {},
                           const robust::SpinDiagnosticsConfig* diagnostics =
-                              nullptr);
+                              nullptr,
+                          size_t gridPoints = 720);
 
 bool isHealthy(const RigHealth& health, const RigHealthThresholds& thresholds);
 

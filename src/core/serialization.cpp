@@ -1,6 +1,7 @@
 #include "core/serialization.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <iomanip>
 #include <istream>
 #include <ostream>
@@ -143,6 +144,11 @@ RigSpec parseRigBody(Parser& p, std::string& line, bool& haveLine) {
       rig.center = {v[0], v[1], v[2]};
     } else if (key == "radius_m") {
       rig.kinematics.radiusM = parseDouble(p, value);
+      // No profile can be built for a rig without a positive radius.
+      if (!std::isfinite(rig.kinematics.radiusM) ||
+          rig.kinematics.radiusM <= 0.0) {
+        p.fail("radius_m must be finite and > 0: " + value);
+      }
     } else if (key == "omega_rad_per_s") {
       rig.kinematics.omegaRadPerS = parseDouble(p, value);
     } else if (key == "initial_angle") {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
@@ -20,11 +21,16 @@ auto azimuthSweep(const PowerProfile& profile, double gamma = 0.0) {
 
 }  // namespace
 
+RigSpectrum searchAzimuth(const PowerProfile& profile,
+                          const SearchConfig& search) {
+  dsp::CircularMax max = dsp::maximizeCircular(
+      azimuthSweep(profile), search.azimuthGridPoints, search.refineRounds);
+  return {std::move(max.grid), {max.best.x, max.best.value}};
+}
+
 AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
                                 const SearchConfig& search) {
-  const auto best = dsp::maximizeCircular(
-      azimuthSweep(profile), search.azimuthGridPoints, search.refineRounds);
-  return {best.x, best.value};
+  return searchAzimuth(profile, search).peak;
 }
 
 AzimuthEstimate estimateAzimuthCoarseFine(const PowerProfile& profile,

@@ -7,6 +7,8 @@
 // scene knowledge, paper section V-B).
 #pragma once
 
+#include <vector>
+
 #include "core/config.hpp"
 #include "core/power_profile.hpp"
 
@@ -23,6 +25,21 @@ struct SpatialEstimate {
   double value = 0.0;
 };
 
+/// One rig's azimuth spectrum for one calibration pass: the profile sampled
+/// on dsp::circularGrid(search.azimuthGridPoints) -- the grid the azimuth
+/// search scanned -- and the refined peak the search found.  The health
+/// check, the spin diagnostics and secondary-candidate extraction read
+/// `grid` instead of sweeping the profile again (DESIGN.md section 4.4).
+struct RigSpectrum {
+  std::vector<double> grid;
+  AzimuthEstimate peak;
+};
+
+/// The azimuth search, keeping the grid it scanned.
+RigSpectrum searchAzimuth(const PowerProfile& profile,
+                          const SearchConfig& search);
+
+/// searchAzimuth's peak.
 AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
                                 const SearchConfig& search);
 

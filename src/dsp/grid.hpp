@@ -123,22 +123,33 @@ std::vector<double> sampleCircular(F&& f, size_t n) {
   return out;
 }
 
+/// maximizeCircular's result: the maximum and the grid it was found on,
+/// grid[i] = f(circularGridAngle(i, grid.size())).
+struct CircularMax {
+  GridMax1D best;
+  std::vector<double> grid;
+};
+
 /// Exhaustive maximisation of `f` over [0, 2*pi) on an n-point grid followed
 /// by `refineRounds` of local 3-point zooming (each round shrinks the bracket
-/// by 4x around the best sample).
+/// by 4x around the best sample).  The grid values come back with the
+/// maximum, so a caller that also needs the sampled spectrum does not sweep
+/// it again.
 template <CircularObjective F>
-GridMax1D maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
+CircularMax maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
   auto eval = detail::asBatch(f);
   const double twoPi = 2.0 * std::numbers::pi;
   const double step = twoPi / static_cast<double>(n);
   const std::vector<double> xs = circularGrid(std::max<size_t>(n, 1));
-  std::vector<double> values(xs.size());
-  eval(xs, values);
-  GridMax1D best{xs[0], values[0]};
-  detail::scanMax(xs, values, best);
+  CircularMax result;
+  result.grid.resize(xs.size());
+  eval(xs, result.grid);
+  GridMax1D& best = result.best;
+  best = {xs[0], result.grid[0]};
+  detail::scanMax(xs, result.grid, best);
   detail::zoom(eval, best, step, refineRounds);
   best.x = std::fmod(best.x + twoPi, twoPi);
-  return best;
+  return result;
 }
 
 /// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an

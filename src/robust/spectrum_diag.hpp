@@ -82,7 +82,7 @@ struct SpinDiagnosticsConfig {
   double quarantineGhostScore = 0.60;
   size_t maxCandidates = 4;
   /// Minimum angular separation between reported candidates, in samples
-  /// of the analysed grid (mirrors core::assessSpectrum's peak spacing).
+  /// of the analysed grid (mirrors core::assessSpectrumSamples' peak spacing).
   size_t minPeakSeparationDivisor = 36;
 };
 

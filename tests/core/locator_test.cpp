@@ -211,17 +211,5 @@ TEST(Locator, OrientationCalibrationLoopImproves) {
   EXPECT_LT(geom::distance(cal.position, reader.xy()), 0.06);
 }
 
-TEST(Locator, EstimateDirectionStandalone) {
-  const geom::Vec3 reader{1.0, 2.0, 0.0};
-  const RigObservation obs = makeObservation({0.0, 0.0, 0.0}, reader, 3, 0.1);
-  const Locator locator;
-  const RigDirection d2 = locator.estimateDirection2D(obs);
-  EXPECT_LT(geom::circularDistance(d2.azimuth,
-                                   geom::azimuthOf(obs.rig.center, reader)),
-            0.01);
-  const RigDirection d3 = locator.estimateDirection3D(obs);
-  EXPECT_NEAR(d3.polar, 0.0, 0.06);
-}
-
 }  // namespace
 }  // namespace tagspin::core

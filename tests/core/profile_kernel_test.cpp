@@ -221,9 +221,11 @@ TEST(ProfileKernel, SearchesPickTheOracleGridCell) {
     const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
     const ReferenceProfile oracle(snaps, c.kinematics(), c.profileConfig());
     const AzimuthEstimate got = estimateAzimuth(profile, search);
-    const dsp::GridMax1D want = dsp::maximizeCircular(
-        [&](double phi) { return oracle.evaluate(phi); },
-        search.azimuthGridPoints, search.refineRounds);
+    const dsp::GridMax1D want =
+        dsp::maximizeCircular(
+            [&](double phi) { return oracle.evaluate(phi); },
+            search.azimuthGridPoints, search.refineRounds)
+            .best;
     ++searches;
     identical += got.azimuth == want.x ? 1 : 0;
     EXPECT_LT(geom::circularDistance(got.azimuth, want.x), 0.5 * step)
@@ -291,7 +293,8 @@ TEST(ProfileKernel, AzimuthSearchGridIsSampleAzimuthGrid) {
     seenAngles.insert(seenAngles.end(), phis.begin(), phis.end());
     seenValues.insert(seenValues.end(), out.begin(), out.end());
   };
-  const dsp::GridMax1D best = dsp::maximizeCircular(recording, kGridPoints, 6);
+  const dsp::GridMax1D best =
+      dsp::maximizeCircular(recording, kGridPoints, 6).best;
   EXPECT_EQ(best.x, estimateAzimuth(profile, {}).azimuth);
   const std::vector<double> samples = profile.sampleAzimuth(kGridPoints);
   ASSERT_GE(seenValues.size(), kGridPoints);

@@ -25,24 +25,28 @@ PowerProfile profileWith(double noise, double outliers,
   return PowerProfile(makeSnapshots(sc), defaultKinematics(), pc);
 }
 
+SpectrumQuality qualityOf(const PowerProfile& profile) {
+  return assessSpectrumSamples(profile.sampleAzimuth(720));
+}
+
 TEST(AssessSpectrum, CleanTraceScoresWell) {
-  const SpectrumQuality q = assessSpectrum(profileWith(0.01, 0.0));
+  const SpectrumQuality q = qualityOf(profileWith(0.01, 0.0));
   EXPECT_GT(q.peakValue, 0.95);
   EXPECT_LT(q.halfPowerWidthDeg, 30.0);
   EXPECT_GT(q.peakRatio, 1.5);
 }
 
 TEST(AssessSpectrum, NoiseWeakensPeak) {
-  const SpectrumQuality clean = assessSpectrum(profileWith(0.02, 0.0));
-  const SpectrumQuality noisy = assessSpectrum(profileWith(0.4, 0.10));
+  const SpectrumQuality clean = qualityOf(profileWith(0.02, 0.0));
+  const SpectrumQuality noisy = qualityOf(profileWith(0.4, 0.10));
   EXPECT_GT(clean.peakValue, noisy.peakValue);
 }
 
 TEST(AssessSpectrum, RSharperThanQInWidth) {
   const SpectrumQuality r =
-      assessSpectrum(profileWith(0.1, 0.0, ProfileFormula::kEnhancedR));
+      qualityOf(profileWith(0.1, 0.0, ProfileFormula::kEnhancedR));
   const SpectrumQuality q =
-      assessSpectrum(profileWith(0.1, 0.0, ProfileFormula::kRelativeQ));
+      qualityOf(profileWith(0.1, 0.0, ProfileFormula::kRelativeQ));
   EXPECT_LT(r.halfPowerWidthDeg, q.halfPowerWidthDeg);
 }
 
@@ -176,7 +180,7 @@ TEST(RigHealth, ThresholdsGateEachAxisIndependently) {
 TEST(FixConfidence, EndToEndSeparatesGoodAndBadGeometry) {
   // Same spectra, two candidate fixes: broadside (well-conditioned) vs far
   // down-range (dilution) -- the confidence must rank them correctly.
-  const SpectrumQuality q = assessSpectrum(profileWith(0.1, 0.03));
+  const SpectrumQuality q = qualityOf(profileWith(0.1, 0.03));
   const std::vector<SpectrumQuality> spectra{q, q};
   const std::vector<geom::Ray2> rays1{
       {{-0.2, 0.0}, (geom::Vec2{0.0, 1.0}).angle()},

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/errors.hpp"
 #include "core/tagspin.hpp"
@@ -217,6 +219,90 @@ TEST(Resilience, ParallelRaysReportDegenerateGeometry) {
   const auto res = locator.tryLocate2D(std::vector<core::RigObservation>{a, b});
   ASSERT_FALSE(res);
   EXPECT_EQ(res.error().code, core::ErrorCode::kDegenerateGeometry);
+}
+
+/// `rigs` rigs in a row, 0.6 m apart, watching a reader at (0.7, 1.9), from
+/// synthetic snapshots.
+std::vector<core::RigObservation> syntheticRow(size_t rigs) {
+  const geom::Vec3 reader{0.7, 1.9, 0.0};
+  std::vector<core::RigObservation> obs;
+  for (size_t k = 0; k < rigs; ++k) {
+    core::RigObservation o;
+    o.rig.center = {-0.6 + 0.6 * static_cast<double>(k), 0.0, 0.0};
+    o.rig.kinematics = core::testing::defaultKinematics();
+    core::testing::SyntheticConfig sc;
+    sc.distanceM = (reader.xy() - o.rig.center.xy()).norm();
+    sc.readerAzimuth = geom::azimuthOf(o.rig.center, reader);
+    sc.noiseStd = 0.05;
+    sc.seed = 11 + k;
+    o.snapshots = core::testing::makeSnapshots(sc, o.rig.kinematics);
+    obs.push_back(std::move(o));
+  }
+  return obs;
+}
+
+/// Each way one rig's PowerProfile can be unbuildable from observations a
+/// deployment file or a decoder may hand the locator.
+struct BrokenRig {
+  const char* name;
+  void (*breakIt)(core::RigObservation&);
+  const char* reason;
+};
+
+const BrokenRig kBrokenRigs[] = {
+    {"zero radius",
+     [](core::RigObservation& o) { o.rig.kinematics.radiusM = 0.0; },
+     "rig radius must be > 0"},
+    {"negative wavelength",
+     [](core::RigObservation& o) { o.snapshots[5].lambdaM = -0.325; },
+     "snapshot missing wavelength"},
+};
+
+TEST(Resilience, UnbuildableRigIsDroppedWithTheConstructorsReason) {
+  // One of three rigs cannot be profiled: tryLocate2D/3D must drop it with
+  // the PowerProfile constructor's message and fix on the other two.
+  const core::Locator locator;
+  for (const BrokenRig& broken : kBrokenRigs) {
+    SCOPED_TRACE(broken.name);
+    std::vector<core::RigObservation> obs = syntheticRow(3);
+    broken.breakIt(obs[1]);
+    const auto check = [&](const core::ResilienceReport& report) {
+      EXPECT_EQ(report.grade, core::FixGrade::kDegraded);
+      EXPECT_EQ(report.usedRigs, (std::vector<size_t>{0, 2}));
+      ASSERT_EQ(report.droppedRigs, (std::vector<size_t>{1}));
+      EXPECT_NE(report.droppedReasons[0].find(broken.reason),
+                std::string::npos)
+          << report.droppedReasons[0];
+      EXPECT_EQ(report.rigHealth[1].profileError,
+                report.droppedReasons[0]);
+      EXPECT_FALSE(core::isHealthy(report.rigHealth[1], {}));
+    };
+    // An exception escaping either call fails the test.
+    const auto fix2 = locator.tryLocate2D(obs);
+    ASSERT_TRUE(fix2) << fix2.error().message;
+    check(fix2->report);
+    EXPECT_LT(geom::distance(fix2->fix.position, geom::Vec2{0.7, 1.9}), 0.05);
+    const auto fix3 = locator.tryLocate3D(obs);
+    ASSERT_TRUE(fix3) << fix3.error().message;
+    check(fix3->report);
+  }
+}
+
+TEST(Resilience, UnbuildableRigOfTwoReportsTooFewHealthyRigs) {
+  // Two rigs, one unbuildable: no fix, but an ErrorCode and never a throw.
+  const core::Locator locator;
+  for (const BrokenRig& broken : kBrokenRigs) {
+    SCOPED_TRACE(broken.name);
+    std::vector<core::RigObservation> obs = syntheticRow(2);
+    broken.breakIt(obs[0]);
+    // An exception escaping either call fails the test.
+    const auto fix2 = locator.tryLocate2D(obs);
+    ASSERT_FALSE(fix2);
+    EXPECT_EQ(fix2.error().code, core::ErrorCode::kTooFewHealthyRigs);
+    const auto fix3 = locator.tryLocate3D(obs);
+    ASSERT_FALSE(fix3);
+    EXPECT_EQ(fix3.error().code, core::ErrorCode::kTooFewHealthyRigs);
+  }
 }
 
 TEST(Resilience, ResultAndErrorCodeBasics) {

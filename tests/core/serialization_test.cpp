@@ -119,6 +119,23 @@ TEST(Serialization, MalformedInputsThrowWithLineNumbers) {
       std::invalid_argument);
 }
 
+TEST(Serialization, NonPositiveRadiusRejectedWithLineNumber) {
+  // No profile can be built for such a rig; the parser says where it is.
+  for (const char* radius : {"0", "-0.1", "nan", "inf"}) {
+    try {
+      deploymentFromString(std::string("[rig 000000000000000000000001]\n"
+                                       "center = 0 0 0\nradius_m = ") +
+                           radius + "\n");
+      FAIL() << "expected throw for radius_m = " << radius;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("radius_m"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(Serialization, LineNumberInMessage) {
   try {
     deploymentFromString("# line 1\n# line 2\ngarbage here\n");

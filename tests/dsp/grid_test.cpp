@@ -28,7 +28,7 @@ class CircularMaxSweep : public ::testing::TestWithParam<double> {};
 TEST_P(CircularMaxSweep, FindsVonMisesPeak) {
   const double center = GetParam();
   auto f = [&](double x) { return std::exp(4.0 * std::cos(x - center)); };
-  const GridMax1D best = maximizeCircular(f, 360, 8);
+  const GridMax1D best = maximizeCircular(f, 360, 8).best;
   EXPECT_LT(circularDistance(best.x, center), 1e-3);
   EXPECT_NEAR(best.value, std::exp(4.0), std::exp(4.0) * 1e-5);
 }
@@ -36,7 +36,7 @@ TEST_P(CircularMaxSweep, FindsVonMisesPeak) {
 TEST_P(CircularMaxSweep, CoarseFineAgrees) {
   const double center = GetParam();
   auto f = [&](double x) { return std::exp(4.0 * std::cos(x - center)); };
-  const GridMax1D exhaustive = maximizeCircular(f, 720, 8);
+  const GridMax1D exhaustive = maximizeCircular(f, 720, 8).best;
   const GridMax1D cf = maximizeCircularCoarseFine(f, 90, 64, 8);
   EXPECT_LT(circularDistance(cf.x, exhaustive.x), 1e-3);
 }
@@ -48,9 +48,15 @@ INSTANTIATE_TEST_SUITE_P(PeakPositions, CircularMaxSweep,
 
 TEST(MaximizeCircular, ResultInRange) {
   auto f = [](double x) { return std::cos(x - 6.1); };
-  const GridMax1D best = maximizeCircular(f, 100, 6);
+  const GridMax1D best = maximizeCircular(f, 100, 6).best;
   EXPECT_GE(best.x, 0.0);
   EXPECT_LT(best.x, kTwoPi);
+}
+
+TEST(MaximizeCircular, ReturnsTheGridItScanned) {
+  auto f = [](double x) { return std::sin(3.0 * x) + 0.1 * x; };
+  const CircularMax max = maximizeCircular(f, 90, 6);
+  EXPECT_EQ(max.grid, sampleCircular(f, 90));
 }
 
 TEST(MaximizeRect, FindsTwoDGaussian) {

@@ -84,7 +84,8 @@ TEST(Extensions, QualityMetricsTrackConditions) {
     for (size_t i = 0; i < obs.size(); ++i) {
       const core::PowerProfile profile(obs[i].snapshots,
                                        obs[i].rig.kinematics, {});
-      spectra.push_back(core::assessSpectrum(profile));
+      spectra.push_back(
+          core::assessSpectrumSamples(profile.sampleAzimuth(720)));
       rays.push_back({obs[i].rig.center.xy(), fix.directions[i].azimuth});
     }
     return core::fixConfidence(spectra,

@@ -355,6 +355,46 @@ TEST(Supervisor, QuarantineTriggersRespinAndCachesLastFix) {
   EXPECT_GT(healed->report.confidence, fix->report.confidence);
 }
 
+TEST(Supervisor, ZeroRadiusRigIsDroppedNotThrown) {
+  // A deployment built in code can carry a rig no profile can be built for
+  // (readDeployment rejects it at parse time).  The fleet's fix path must
+  // drop that rig with the reason and fix from the others, not throw.
+  const rfid::Epc kTag2 = rfid::Epc::forSimulatedTag(2);
+  core::DeploymentFile deployment = twoRigDeployment();
+  deployment.rigs[kTag0].center = {-0.4, 0.0, 0.0};
+  deployment.rigs[kTag1].center = {0.0, 0.0, 0.0};
+  core::RigSpec rig2;
+  rig2.center = {0.4, 0.0, 0.0};
+  rig2.kinematics = {0.10, 0.5, 0.0, geom::kPi / 2.0};
+  deployment.rigs[kTag2] = rig2;
+  const geom::Vec3 reader{0.8, 2.0, 0.0};
+  rfid::ReportStream batch;
+  uint64_t seed = 1;
+  for (const auto& [epc, rig] : deployment.rigs) {
+    const rfid::ReportStream spin = spinReports(epc, rig, reader, seed++);
+    batch.insert(batch.end(), spin.begin(), spin.end());
+  }
+  deployment.rigs[kTag1].kinematics.radiusM = 0.0;
+
+  Supervisor sup(testConfig(), deployment);
+  auto transport = std::make_unique<ScriptedTransport>();
+  transport->chunks.push_back(rfid::llrp::encodeStream(batch));
+  std::unique_ptr<ScriptedTransport> owned = std::move(transport);
+  sup.addSession("r0", [&owned] { return std::move(owned); });
+  sup.tick(0.0);
+  sup.tick(0.1);
+  ASSERT_EQ(sup.tagSnapshotCount(kTag1), 400u);
+
+  // An exception escaping locateAndRecover2D fails the test.
+  const auto fix = sup.locateAndRecover2D(1.0);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_EQ(fix->report.grade, core::FixGrade::kDegraded);
+  ASSERT_EQ(fix->report.droppedReasons.size(), 1u);
+  EXPECT_NE(fix->report.droppedReasons[0].find("radius"), std::string::npos)
+      << fix->report.droppedReasons[0];
+  EXPECT_LT(geom::distance(fix->fix.position, reader.xy()), 0.12);
+}
+
 TEST(Supervisor, CheckpointFailureDoesNotStopIngestion) {
   SupervisorConfig config = testConfig();
   config.checkpointIntervalS = 0.01;
