@@ -91,7 +91,7 @@ struct BenchRecord {
 struct BenchArgs {
   uint64_t seed = 0;
   std::string sidecarPath;  // "" when --json is absent
-  std::string outDir;       // "" when --out is absent
+  std::string outDir = "bench/out";  // --out=DIR; bench/out by default
   std::vector<std::string> positional;
 };
 

@@ -188,14 +188,14 @@ int main(int argc, char** argv) {
           sim::interrogate(
               w, {30.0, 0, static_cast<uint64_t>(trial) + 1 + seedDelta});
 
-      const auto priorServer =
-          eval::buildTagspinServer(w, models, withPrior);
-      priorErrors.push_back(
-          eval::errorCm(priorServer.locate3D(reports).position, truth));
+      const auto priorServer = eval::buildPaperServer(w, models, withPrior);
+      priorErrors.push_back(eval::errorCm(
+          eval::fixOrThrow(priorServer.tryLocate3D(reports)).position, truth));
       const auto verticalServer =
-          eval::buildTagspinServer(w, models, withVertical);
-      verticalErrors.push_back(
-          eval::errorCm(verticalServer.locate3D(reports).position, truth));
+          eval::buildPaperServer(w, models, withVertical);
+      verticalErrors.push_back(eval::errorCm(
+          eval::fixOrThrow(verticalServer.tryLocate3D(reports)).position,
+          truth));
     }
     const dsp::Summary priorSummary =
         sampled(eval::summarizeCombined(priorErrors));

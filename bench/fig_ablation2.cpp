@@ -160,7 +160,7 @@ int main(int argc, char** argv) {
     sim::World world = sim::makeTwoRigWorld(sc);
     const auto models = eval::runCalibrationPrelude(world, 60.0);
     const core::TagspinSystem server =
-        eval::buildTagspinServer(world, models, {});
+        eval::buildPaperServer(world, models, {});
 
     std::mt19937_64 rng(99 + seedDelta);
     std::uniform_real_distribution<double> dx(-1.4, 1.4), dy(1.0, 3.0);
@@ -175,9 +175,10 @@ int main(int argc, char** argv) {
       // Round-trip through the binary wire format.
       const auto wire =
           rfid::llrp::decodeStream(rfid::llrp::encodeStream(reports));
-      fullAcc += geom::distance(server.locate2D(reports).position,
-                                truth.xy());
-      wireAcc += geom::distance(server.locate2D(wire).position, truth.xy());
+      fullAcc += geom::distance(
+          eval::fixOrThrow(server.tryLocate2D(reports)).position, truth.xy());
+      wireAcc += geom::distance(
+          eval::fixOrThrow(server.tryLocate2D(wire)).position, truth.xy());
     }
     fullPrecision = fullAcc / trials * 100.0;
     wirePrecision = wireAcc / trials * 100.0;
@@ -195,7 +196,7 @@ int main(int argc, char** argv) {
     sim::World world = sim::makeTwoRigWorld(sc);
     const auto models = eval::runCalibrationPrelude(world, 60.0);
     const core::TagspinSystem server =
-        eval::buildTagspinServer(world, models, {});
+        eval::buildPaperServer(world, models, {});
 
     std::mt19937_64 rng(7 + seedDelta);
     std::uniform_real_distribution<double> dx(-1.4, 1.4), dy(1.0, 3.0);
@@ -207,13 +208,14 @@ int main(int argc, char** argv) {
       const auto reports =
           sim::interrogate(
               w, {30.0, 0, static_cast<uint64_t>(t) + 1 + seedDelta});
-      const core::Fix2D spectraFix = server.locate2D(reports);
+      const core::Fix2D spectraFix =
+          eval::fixOrThrow(server.tryLocate2D(reports));
       spectraAcc += geom::distance(spectraFix.position, truth.xy());
 
       // The hologram runs as a refinement stage: orientation-calibrate the
       // snapshots against the angle-spectrum fix first (exactly what the
       // locator's own calibration loop does).
-      auto obs = server.collectObservations(reports);
+      auto obs = server.collectObservationsRobust(reports);
       const geom::Vec3 ref{spectraFix.position.x, spectraFix.position.y,
                            obs[0].rig.center.z};
       for (core::RigObservation& o : obs) {
@@ -248,7 +250,7 @@ int main(int argc, char** argv) {
     rf::ChannelConfig cc = world.channel.config();
     cc.phaseOutlierProb = 0.20;
     world.channel = rf::BackscatterChannel(cc, world.channel.scatterers());
-    const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
+    const core::TagspinSystem server = eval::buildPaperServer(world, {}, {});
 
     const geom::Vec3 truth{0.9, 2.6, 0.0};
     sim::placeReaderAntenna(world, 0, truth);
@@ -257,7 +259,7 @@ int main(int argc, char** argv) {
       const auto reports = sim::interrogate(
           world,
           {8.0, 0, 0x600ULL + static_cast<uint64_t>(round) + seedDelta});
-      fixes.push_back(server.locate2D(reports).position);
+      fixes.push_back(eval::fixOrThrow(server.tryLocate2D(reports)).position);
     }
     geom::Vec2 mean{};
     for (const geom::Vec2& p : fixes) mean += p;

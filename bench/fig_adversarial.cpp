@@ -29,22 +29,16 @@ int main(int argc, char** argv) {
   ac.scenario.fixedChannel = true;
   ac.baseline = eval::AdversarialConfig::defaultBaseline();
   ac.robust = eval::AdversarialConfig::defaultRobust();
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      ac.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_adversarial.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, ac.seed, "BENCH_adversarial.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  ac.trialsPerPoint = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
+  ac.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  ac.trialsPerPoint = bench::positiveCount(args, 0, 30);
+  if (ac.trialsPerPoint == 0) return 2;
   ac.durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_adversarial");

@@ -27,22 +27,16 @@ int main(int argc, char** argv) {
   eval::ChaosConfig cc;
   cc.scenario.seed = 21;
   cc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      cc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_chaos.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, cc.seed, "BENCH_chaos.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  cc.trialsPerPoint = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 40;
+  cc.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  cc.trialsPerPoint = bench::positiveCount(args, 0, 40);
+  if (cc.trialsPerPoint == 0) return 2;
   cc.durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_chaos");

@@ -27,23 +27,19 @@ using namespace tagspin;
 
 int main(int argc, char** argv) {
   eval::CrashExploreConfig cfg;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      cfg.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_crash.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, cfg.seed, "BENCH_crash.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  if (pos.size() > 0) cfg.captureReports = size_t(std::atoi(pos[0].c_str()));
-  if (pos.size() > 1) cfg.scheduleRounds = size_t(std::atoi(pos[1].c_str()));
+  cfg.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  const int reports = bench::positiveCount(args, 0, int(cfg.captureReports));
+  const int rounds = bench::positiveCount(args, 1, int(cfg.scheduleRounds));
+  if (reports == 0 || rounds == 0) return 2;
+  cfg.captureReports = size_t(reports);
+  cfg.scheduleRounds = size_t(rounds);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_crash");
 

@@ -28,21 +28,21 @@ int main(int argc, char** argv) {
   eval::FleetEvalConfig fc;
   fc.scenario.seed = 41;
   fc.scenario.fixedChannel = true;
-  std::string jsonPath = "BENCH_fleet.json";
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      fc.seed = std::stoull(arg.substr(7));
-    } else if (arg.rfind("--json=", 0) == 0) {
-      jsonPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, fc.seed, "BENCH_fleet.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  fc.sessions = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 512;
-  fc.shards = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 8;
+  fc.seed = args.seed;
+  // The sidecar is always written; --json=PATH moves it.
+  const std::string jsonPath =
+      args.sidecarPath.empty() ? "BENCH_fleet.json" : args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  const int sessions = bench::positiveCount(args, 0, 512);
+  const int shards = bench::positiveCount(args, 1, 8);
+  if (sessions == 0 || shards == 0) return 2;
+  fc.sessions = size_t(sessions);
+  fc.shards = size_t(shards);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_fleet");
   fc.checkpointDir = outDir;

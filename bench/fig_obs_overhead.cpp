@@ -47,20 +47,15 @@ double medianOf(std::vector<double> v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--json") {
-      sidecarPath = "BENCH_obs_overhead.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, 0, "BENCH_obs_overhead.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  const int reps = pos.size() > 0 ? std::atoi(pos[0].c_str()) : 30;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  const int reps = bench::positiveCount(args, 0, 30);
+  if (reps == 0) return 2;
   const double durationS = pos.size() > 1 ? std::atof(pos[1].c_str()) : 15.0;
 
   sim::ScenarioConfig scenario;

@@ -28,23 +28,18 @@ int main(int argc, char** argv) {
   eval::ReplayEvalConfig rc;
   rc.scenario.seed = 57;
   rc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      rc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_replay.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, rc.seed, "BENCH_replay.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
+  rc.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
   rc.revolutions = pos.size() > 0 ? std::atof(pos[0].c_str()) : 10.0;
-  rc.fleetSessions = pos.size() > 1 ? size_t(std::atoi(pos[1].c_str())) : 64;
+  const int fleetSessions = bench::positiveCount(args, 1, 64);
+  if (fleetSessions == 0) return 2;
+  rc.fleetSessions = size_t(fleetSessions);
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_replay");
   rc.capturePath = prefix + ".tspc";

@@ -28,23 +28,17 @@ int main(int argc, char** argv) {
   eval::SoakConfig sc;
   sc.scenario.seed = 33;
   sc.scenario.fixedChannel = true;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      sc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_soak.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, sc.seed, "BENCH_soak.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
+  sc.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
   sc.revolutions = pos.size() > 0 ? std::atof(pos[0].c_str()) : 10.0;
-  sc.rigCount = pos.size() > 1 ? std::atoi(pos[1].c_str()) : 3;
+  sc.rigCount = bench::positiveCount(args, 1, 3);
+  if (sc.rigCount == 0) return 2;
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_soak");
   sc.checkpointPath = prefix + ".ckpt";

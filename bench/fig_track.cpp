@@ -31,23 +31,17 @@ using namespace tagspin;
 
 int main(int argc, char** argv) {
   eval::TrackEvalConfig tc;
-  std::string sidecarPath;
-  std::vector<std::string> pos;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--seed=", 0) == 0) {
-      tc.seed = std::stoull(arg.substr(7));
-    } else if (arg == "--json") {
-      sidecarPath = "BENCH_track.json";
-    } else if (arg.rfind("--json=", 0) == 0) {
-      sidecarPath = arg.substr(7);
-    } else {
-      pos.push_back(arg);
-    }
+  bench::BenchArgs args;
+  if (!bench::parseBenchArgs(argc, argv, tc.seed, "BENCH_track.json", args)) {
+    return 2;
   }
-  const std::string outDir = eval::consumeOutDir(pos);
-  if (pos.size() > 0) tc.windows = std::atoi(pos[0].c_str());
-  if (pos.size() > 1) tc.rigCount = std::atoi(pos[1].c_str());
+  tc.seed = args.seed;
+  const std::string& sidecarPath = args.sidecarPath;
+  const std::string& outDir = args.outDir;
+  const std::vector<std::string>& pos = args.positional;
+  tc.windows = bench::positiveCount(args, 0, tc.windows);
+  tc.rigCount = bench::positiveCount(args, 1, tc.rigCount);
+  if (tc.windows == 0 || tc.rigCount == 0) return 2;
   const std::string prefix =
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_track");
 

@@ -61,10 +61,18 @@ int main(int argc, char** argv) {
     spec.kinematics.tagPlaneOffset = rt.rig.tagPlaneOffset;
     server.registerRig(rt.tag.epc, spec);
   }
-  const core::Fix2D fix = server.locate2D(replayed);
+  const auto result = server.tryLocate2D(replayed);
+  if (!result) {
+    std::printf("no offline fix: %s (%s)\n",
+                core::errorCodeName(result.code()),
+                result.error().message.c_str());
+    return 1;
+  }
+  const core::Fix2D& fix = result->fix;
   std::printf("offline fix: (%.3f, %.3f) m, true (%.3f, %.3f) m, "
-              "error %.1f cm\n",
+              "error %.1f cm, grade %s\n",
               fix.position.x, fix.position.y, truth.x, truth.y,
-              geom::distance(fix.position, truth.xy()) * 100.0);
+              geom::distance(fix.position, truth.xy()) * 100.0,
+              core::fixGradeName(result->report.grade));
   return 0;
 }

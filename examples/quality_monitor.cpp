@@ -1,6 +1,7 @@
 // Operational quality monitoring: a deployment that localizes in rounds,
-// scores every fix with the spectrum/geometry quality metrics, rejects
-// low-confidence rounds, and fuses the survivors with the geometric median.
+// reads every fix's confidence (spectrum quality and ray geometry, scaled
+// down for dropped rigs), rejects low-confidence rounds, and fuses the
+// survivors with the geometric median.
 //
 // The scenario is deliberately hostile -- heavy interference corrupts a
 // fifth of the reads -- to show the metrics doing real work.
@@ -12,11 +13,9 @@
 #include <vector>
 
 #include "core/fusion.hpp"
-#include "core/quality.hpp"
 #include "core/tagspin.hpp"
 #include "eval/estimators.hpp"
 #include "eval/runner.hpp"
-#include "geom/angles.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/scenario.hpp"
 
@@ -37,35 +36,26 @@ int main() {
   const core::TagspinSystem server =
       eval::buildTagspinServer(world, models, {});
 
-  std::printf("%6s %10s %10s %12s\n", "round", "err_cm", "gdop",
+  std::printf("%6s %10s %10s %12s\n", "round", "err_cm", "grade",
               "confidence");
   std::vector<std::pair<double, geom::Vec2>> scored;
   std::vector<geom::Vec2> all;
   for (int round = 0; round < 10; ++round) {
     const auto reports = sim::interrogate(
         world, {8.0, 0, 0x9000ULL + static_cast<uint64_t>(round)});
-    const core::Fix2D fix = server.locate2D(reports);
-    all.push_back(fix.position);
-
-    // Score the fix: per-rig spectrum quality + ray geometry.
-    const auto observations = server.collectObservations(reports);
-    std::vector<core::SpectrumQuality> spectra;
-    std::vector<geom::Ray2> rays;
-    for (size_t i = 0; i < observations.size(); ++i) {
-      const core::PowerProfile profile(observations[i].snapshots,
-                                       observations[i].rig.kinematics, {});
-      spectra.push_back(
-          core::assessSpectrumSamples(profile.sampleAzimuth(720)));
-      rays.push_back({observations[i].rig.center.xy(),
-                      fix.directions[i].azimuth});
+    const auto result = server.tryLocate2D(reports);
+    if (!result) {
+      std::printf("%6d  no fix: %s\n", round,
+                  core::errorCodeName(result.code()));
+      continue;
     }
-    const double gdop = core::bearingGdop(rays, fix.position);
-    const double confidence = core::fixConfidence(spectra, gdop);
-    scored.push_back({confidence, fix.position});
-
-    std::printf("%6d %10.2f %10.2f %12.3f\n", round,
-                geom::distance(fix.position, truth.xy()) * 100.0, gdop,
-                confidence);
+    const geom::Vec2 position = result->fix.position;
+    all.push_back(position);
+    scored.push_back({result->report.confidence, position});
+    std::printf("%6d %10.2f %10s %12.3f\n", round,
+                geom::distance(position, truth.xy()) * 100.0,
+                core::fixGradeName(result->report.grade),
+                result->report.confidence);
   }
 
   const geom::Vec2 fusedAll = core::geometricMedian(all);

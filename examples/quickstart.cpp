@@ -4,7 +4,8 @@
 //   2. run the one-time orientation-calibration prelude per tag,
 //   3. let the reader interrogate for 30 s (simulated here),
 //   4. hand the LLRP report stream to the TagspinSystem server,
-//   5. read back the fix.
+//   5. read back the fix with its grade and confidence (or the error code
+//      saying why there is none).
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -43,12 +44,20 @@ int main() {
   const core::TagspinSystem server =
       eval::buildTagspinServer(world, orientationModels, {});
 
-  const core::Fix2D fix = server.locate2D(reports);
+  const auto result = server.tryLocate2D(reports);
+  if (!result) {
+    std::printf("no fix: %s (%s)\n", core::errorCodeName(result.code()),
+                result.error().message.c_str());
+    return 1;
+  }
+  const core::Fix2D& fix = result->fix;
   std::printf("reader antenna estimated at (%.3f, %.3f) m\n", fix.position.x,
               fix.position.y);
   std::printf("true position              (%.3f, %.3f) m\n", truth.x, truth.y);
-  std::printf("error: %.1f cm\n",
-              geom::distance(fix.position, truth.xy()) * 100.0);
+  std::printf("error: %.1f cm  [grade %s, confidence %.3f]\n",
+              geom::distance(fix.position, truth.xy()) * 100.0,
+              core::fixGradeName(result->report.grade),
+              result->report.confidence);
   for (size_t i = 0; i < fix.directions.size(); ++i) {
     std::printf("  rig %zu: azimuth spectrum peak at %.2f deg "
                 "(confidence %.3f)\n",

@@ -44,7 +44,13 @@ int main() {
   const core::TagspinSystem server =
       eval::buildTagspinServer(world, models, lc);
 
-  const core::Fix3D fix = server.locate3D(reports);
+  const auto result = server.tryLocate3D(reports);
+  if (!result) {
+    std::printf("no fix: %s (%s)\n", core::errorCodeName(result.code()),
+                result.error().message.c_str());
+    return 1;
+  }
+  const core::Fix3D& fix = result->fix;
   std::printf("\nreader antenna estimated at (%.3f, %.3f, %.3f) m\n",
               fix.position.x, fix.position.y, fix.position.z);
   if (fix.mirrorCandidate) {

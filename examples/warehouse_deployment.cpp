@@ -62,7 +62,14 @@ int main() {
     ic.antennaPort = port;
     ic.streamId = static_cast<uint64_t>(port);
     perPort.push_back(sim::interrogate(world, ic));
-    const core::Fix2D fix = server.locate2D(perPort.back());
+    const auto result = server.tryLocate2D(perPort.back());
+    if (!result) {
+      std::printf("antenna %d: no fix: %s (%s)\n", port + 1,
+                  core::errorCodeName(result.code()),
+                  result.error().message.c_str());
+      return 1;
+    }
+    const core::Fix2D& fix = result->fix;
     antennaEst.push_back({fix.position.x, fix.position.y, 0.0});
     std::printf("antenna %d: estimated (%+.3f, %.3f), true (%+.3f, %.3f), "
                 "error %.1f cm\n",

@@ -126,6 +126,8 @@ class Locator {
   /// 2D fix from >= 2 horizontal rigs (Eqn. 9 for two rigs via the robust
   /// equivalent; least squares for more).  Throws std::invalid_argument on
   /// fewer than 2 rigs; std::runtime_error when all rays are parallel.
+  /// This is the bare estimator that tryLocate2D/3D wrap; a server answers
+  /// through tryLocate2D/3D (or TagspinSystem's, from a report stream).
   Fix2D locate2D(std::span<const RigObservation> observations) const;
 
   /// 3D fix from >= 2 horizontal rigs: x, y from azimuths (Eqn. 9), |z|

@@ -136,7 +136,8 @@ RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
 
 bool isHealthy(const RigHealth& health,
                const RigHealthThresholds& thresholds) {
-  return health.snapshotCount >= thresholds.minSnapshots &&
+  return health.profileError.empty() &&
+         health.snapshotCount >= thresholds.minSnapshots &&
          health.arcCoverage >= thresholds.minArcCoverage &&
          health.spectrum.peakValue >= thresholds.minPeakValue &&
          !(thresholds.rejectQuarantined &&

@@ -110,6 +110,8 @@ RigHealth assessRigHealth(std::span<const Snapshot> snapshots,
                               nullptr,
                           size_t gridPoints = 720);
 
+/// Every threshold holds and the profile could be built: a rig with a
+/// profileError is never healthy, whatever the thresholds.
 bool isHealthy(const RigHealth& health, const RigHealthThresholds& thresholds);
 
 }  // namespace tagspin::core

@@ -1,6 +1,5 @@
 #include "core/tagspin.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "geom/angles.hpp"
@@ -56,47 +55,36 @@ OrientationModel TagspinSystem::calibrateOrientation(
   return OrientationModel::fit(snaps, rig.kinematics, azimuth, order);
 }
 
-std::vector<RigObservation> TagspinSystem::collectObservations(
-    const rfid::ReportStream& reports) const {
-  std::vector<RigObservation> obs;
-  for (const auto& [epc, rig] : rigs_) {
-    RigObservation o;
-    o.rig = rig;
-    try {
-      o.snapshots = extractSnapshots(reports, epc, preprocess_);
-    } catch (const std::invalid_argument&) {
-      continue;  // this rig was not heard by this antenna
-    }
-    if (const auto it = orientationModels_.find(epc);
-        it != orientationModels_.end()) {
-      o.orientation = it->second;
-    }
-    if (o.snapshots.size() >= 2) obs.push_back(std::move(o));
+std::optional<RigObservation> TagspinSystem::observe(
+    const rfid::ReportStream& reports, const rfid::Epc& epc,
+    const RigSpec& rig) const {
+  RepairStats repairs;
+  Result<std::vector<Snapshot>> snaps = [&] {
+    TAGSPIN_SPAN(obs_.preprocessSpan);
+    return extractSnapshotsRobust(reports, epc, preprocess_, &repairs);
+  }();
+  obs::add(obs_.duplicatesRemoved, repairs.duplicatesRemoved);
+  obs::add(obs_.timestampRepairs, repairs.timestampOutliersDropped);
+  obs::add(obs_.phaseOutliersDropped, repairs.phaseOutliersDropped);
+  // Not heard (or fully rejected), or too few snapshots for a profile.
+  if (!snaps || snaps->size() < 2) return std::nullopt;
+  RigObservation o;
+  o.rig = rig;
+  o.snapshots = std::move(*snaps);
+  if (const auto it = orientationModels_.find(epc);
+      it != orientationModels_.end()) {
+    o.orientation = it->second;
   }
-  return obs;
+  return o;
 }
 
 std::vector<RigObservation> TagspinSystem::collectObservationsRobust(
     const rfid::ReportStream& reports) const {
   std::vector<RigObservation> obs;
   for (const auto& [epc, rig] : rigs_) {
-    RepairStats repairs;
-    Result<std::vector<Snapshot>> snaps = [&] {
-      TAGSPIN_SPAN(obs_.preprocessSpan);
-      return extractSnapshotsRobust(reports, epc, preprocess_, &repairs);
-    }();
-    obs::add(obs_.duplicatesRemoved, repairs.duplicatesRemoved);
-    obs::add(obs_.timestampRepairs, repairs.timestampOutliersDropped);
-    obs::add(obs_.phaseOutliersDropped, repairs.phaseOutliersDropped);
-    if (!snaps) continue;  // this rig was not heard (or fully rejected)
-    RigObservation o;
-    o.rig = rig;
-    o.snapshots = std::move(*snaps);
-    if (const auto it = orientationModels_.find(epc);
-        it != orientationModels_.end()) {
-      o.orientation = it->second;
+    if (std::optional<RigObservation> o = observe(reports, epc, rig)) {
+      obs.push_back(std::move(*o));
     }
-    if (o.snapshots.size() >= 2) obs.push_back(std::move(o));
   }
   return obs;
 }
@@ -105,15 +93,25 @@ void TagspinSystem::setHealthThresholds(const RigHealthThresholds& thresholds) {
   healthThresholds_ = thresholds;
 }
 
+namespace {
+
+Error tooFewRigsHeard(const char* entry, size_t heard, size_t registered,
+                      size_t reports) {
+  return Error{ErrorCode::kTooFewRigs,
+               std::string(entry) + ": " + std::to_string(heard) + " of " +
+                   std::to_string(registered) +
+                   " registered rigs heard in a stream of " +
+                   std::to_string(reports) + " reports"};
+}
+
+}  // namespace
+
 Result<ResilientFix2D> TagspinSystem::tryLocate2D(
     const rfid::ReportStream& reports) const {
   const std::vector<RigObservation> obs = collectObservationsRobust(reports);
   if (obs.size() < 2) {
-    return Error{ErrorCode::kTooFewRigs,
-                 "tryLocate2D: " + std::to_string(obs.size()) + " of " +
-                     std::to_string(rigs_.size()) +
-                     " registered rigs heard in a stream of " +
-                     std::to_string(reports.size()) + " reports"};
+    return tooFewRigsHeard("tryLocate2D", obs.size(), rigs_.size(),
+                           reports.size());
   }
   return locator_.tryLocate2D(obs, healthThresholds_);
 }
@@ -122,91 +120,28 @@ Result<ResilientFix3D> TagspinSystem::tryLocate3D(
     const rfid::ReportStream& reports) const {
   const std::vector<RigObservation> obs = collectObservationsRobust(reports);
   if (obs.size() < 2) {
-    return Error{ErrorCode::kTooFewRigs,
-                 "tryLocate3D: " + std::to_string(obs.size()) + " of " +
-                     std::to_string(rigs_.size()) +
-                     " registered rigs heard in a stream of " +
-                     std::to_string(reports.size()) + " reports"};
+    return tooFewRigsHeard("tryLocate3D", obs.size(), rigs_.size(),
+                           reports.size());
   }
-  return locator_.tryLocate3D(obs, healthThresholds_);
-}
+  Result<ResilientFix3D> out = locator_.tryLocate3D(obs, healthThresholds_);
+  if (!out || !out->fix.mirrorCandidate) return out;
 
-Fix2D TagspinSystem::locate2D(const rfid::ReportStream& reports) const {
-  const std::vector<RigObservation> obs = collectObservations(reports);
-  if (obs.size() < 2) {
-    throw std::runtime_error(
-        "TagspinSystem::locate2D: fewer than two registered rigs heard");
-  }
-  return locator_.locate2D(obs);
-}
-
-namespace {
-
-std::vector<int> portsIn(const rfid::ReportStream& reports) {
-  std::vector<int> ports;
-  for (const rfid::TagReport& r : reports) {
-    if (std::find(ports.begin(), ports.end(), r.antennaPort) == ports.end()) {
-      ports.push_back(r.antennaPort);
-    }
-  }
-  std::sort(ports.begin(), ports.end());
-  return ports;
-}
-
-}  // namespace
-
-std::map<int, Fix2D> TagspinSystem::locateAllAntennas2D(
-    const rfid::ReportStream& reports) const {
-  std::map<int, Fix2D> fixes;
-  for (int port : portsIn(reports)) {
+  // Both z candidates are in play (ZResolution::kBoth): the first vertical
+  // rig heard picks one (the paper's future-work extension).
+  Fix3D& fix = out->fix;
+  for (const auto& [epc, rig] : verticalRigs_) {
+    const std::optional<RigObservation> vertical = observe(reports, epc, rig);
+    if (!vertical) continue;
     try {
-      fixes.emplace(port, locate2D(rfid::filterByAntenna(reports, port)));
-    } catch (const std::runtime_error&) {
-      // This port's slice cannot produce a fix; skip it.
+      fix.position =
+          locator_.disambiguateZ(*vertical, fix.position, *fix.mirrorCandidate);
+    } catch (const std::invalid_argument&) {
+      continue;  // its profile cannot be built (e.g. radius <= 0)
     }
+    fix.mirrorCandidate.reset();
+    break;
   }
-  return fixes;
-}
-
-std::map<int, Fix3D> TagspinSystem::locateAllAntennas3D(
-    const rfid::ReportStream& reports) const {
-  std::map<int, Fix3D> fixes;
-  for (int port : portsIn(reports)) {
-    try {
-      fixes.emplace(port, locate3D(rfid::filterByAntenna(reports, port)));
-    } catch (const std::runtime_error&) {
-    }
-  }
-  return fixes;
-}
-
-Fix3D TagspinSystem::locate3D(const rfid::ReportStream& reports) const {
-  const std::vector<RigObservation> obs = collectObservations(reports);
-  if (obs.size() < 2) {
-    throw std::runtime_error(
-        "TagspinSystem::locate3D: fewer than two registered rigs heard");
-  }
-  Fix3D fix = locator_.locate3D(obs);
-
-  // If a vertical rig was heard and both z candidates are in play, use it
-  // to disambiguate (future-work extension).
-  if (fix.mirrorCandidate) {
-    for (const auto& [epc, rig] : verticalRigs_) {
-      RigObservation vobs;
-      vobs.rig = rig;
-      try {
-        vobs.snapshots = extractSnapshots(reports, epc, preprocess_);
-      } catch (const std::invalid_argument&) {
-        continue;
-      }
-      if (vobs.snapshots.size() < 2) continue;
-      fix.position = locator_.disambiguateZ(vobs, fix.position,
-                                            *fix.mirrorCandidate);
-      fix.mirrorCandidate.reset();
-      break;
-    }
-  }
-  return fix;
+  return out;
 }
 
 }  // namespace tagspin::core

@@ -9,8 +9,10 @@
 //   TagspinSystem server;
 //   server.registerRig(epc1, rig1);
 //   server.registerRig(epc2, rig2);
-//   server.setOrientationModel(model);            // optional but recommended
-//   auto fix = server.locate2D(reports);          // reports: one antenna
+//   server.setOrientationModel(epc1, model);      // optional but recommended
+//   auto fix = server.tryLocate2D(reports);       // reports: one antenna
+//   if (fix) use(fix->fix.position, fix->report.confidence);
+//   else     log(errorCodeName(fix.code()), fix.error().message);
 //
 #pragma once
 
@@ -32,7 +34,7 @@ class TagspinSystem {
   void registerRig(const rfid::Epc& epc, const RigSpec& rig);
 
   /// Register a vertically spinning tag (x-z rotation plane); used only for
-  /// +-z disambiguation, never for the planar fix.
+  /// +-z disambiguation in tryLocate3D, never for the planar fix.
   void registerVerticalRig(const rfid::Epc& epc, const RigSpec& rig);
 
   /// Install the orientation model of a specific tag (from its calibration
@@ -52,20 +54,22 @@ class TagspinSystem {
                                         const geom::Vec3& knownReaderPos,
                                         size_t order = 4) const;
 
-  /// Locate the reader antenna that produced `reports` (reports must come
-  /// from a single antenna port; pass through rfid::filterByAntenna first
-  /// for multi-port streams).  Uses every registered horizontal rig that
-  /// appears in the stream.  Throws std::runtime_error when fewer than two
-  /// registered rigs were heard.
-  Fix2D locate2D(const rfid::ReportStream& reports) const;
-  Fix3D locate3D(const rfid::ReportStream& reports) const;
-
-  /// Graceful-degradation entry points for dirty streams: snapshots are
-  /// extracted through the robust preprocess stages (dedup, timestamp
-  /// repair, Hampel phase filter), unhealthy rigs are dropped with a 2-rig
-  /// fallback, and every failure cause is reported as an ErrorCode instead
-  /// of an exception.  On a clean stream the fix is bit-identical to
-  /// locate2D/3D.
+  /// Locate the reader antenna that produced `reports`, the one way a report
+  /// stream becomes a fix.  Reports must come from a single antenna port
+  /// (split a multi-port stream with rfid::filterByAntenna first).  Every
+  /// registered horizontal rig heard in the stream is offered to
+  /// Locator::tryLocate2D/3D: snapshots come through the robust preprocess
+  /// stages (collectObservationsRobust), rigs below the health thresholds
+  /// are dropped with a 2-rig fallback, and every failure comes back as an
+  /// ErrorCode (kTooFewRigs when fewer than two rigs were heard) instead of
+  /// an exception.  The fix equals
+  /// locator().locate2D/3D(collectObservationsRobust(reports)) whenever
+  /// every heard rig is healthy, up to the z choice below.
+  ///
+  /// When the 3D fix keeps a mirror candidate (ZResolution::kBoth), the
+  /// first registered vertical rig heard picks the sign of z through
+  /// Locator::disambiguateZ; a vertical rig whose profile cannot be built
+  /// is passed over.
   Result<ResilientFix2D> tryLocate2D(const rfid::ReportStream& reports) const;
   Result<ResilientFix3D> tryLocate3D(const rfid::ReportStream& reports) const;
 
@@ -80,21 +84,9 @@ class TagspinSystem {
   /// span.preprocess) from collectObservationsRobust.
   void setMetrics(obs::MetricsRegistry* registry);
 
-  /// Calibrate every antenna port present in a mixed multi-port stream
-  /// (a Speedway-class reader cycles its ports): splits by port and locates
-  /// each.  Ports whose slice cannot produce a fix (fewer than two rigs
-  /// heard) are omitted from the result.
-  std::map<int, Fix2D> locateAllAntennas2D(
-      const rfid::ReportStream& reports) const;
-  std::map<int, Fix3D> locateAllAntennas3D(
-      const rfid::ReportStream& reports) const;
-
-  /// Build the per-rig observations from a stream (exposed for diagnostics
-  /// and the figure benches).
-  std::vector<RigObservation> collectObservations(
-      const rfid::ReportStream& reports) const;
-
-  /// Robust-preprocess variant of collectObservations (never throws).
+  /// The per-rig observations tryLocate2D/3D offer the locator: every
+  /// registered horizontal rig with at least two snapshots left by the
+  /// robust preprocess stages (never throws).
   std::vector<RigObservation> collectObservationsRobust(
       const rfid::ReportStream& reports) const;
 
@@ -106,6 +98,13 @@ class TagspinSystem {
     obs::Histogram* preprocessSpan = nullptr;  // span.preprocess
     static Instruments resolve(obs::MetricsRegistry* registry);
   };
+
+  /// One rig's snapshots through the robust preprocess stages, counted
+  /// under preprocess.* and span.preprocess; nullopt when fewer than two
+  /// survive.
+  std::optional<RigObservation> observe(const rfid::ReportStream& reports,
+                                        const rfid::Epc& epc,
+                                        const RigSpec& rig) const;
 
   Locator locator_;
   PreprocessConfig preprocess_;

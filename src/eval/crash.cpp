@@ -15,6 +15,7 @@
 #include "capture/writer.hpp"
 #include "core/io_env.hpp"
 #include "eval/ddmin.hpp"
+#include "obs/export.hpp"
 #include "core/serialization.hpp"
 #include "runtime/checkpoint.hpp"
 #include "sim/rng.hpp"
@@ -576,28 +577,6 @@ ScheduleOutcome runSchedule(const std::string& name,
 // ---------------------------------------------------------------------------
 // JSON
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string scheduleJson(const sim::FaultSchedule& schedule) {
   std::ostringstream out;
   out << '[';
@@ -617,7 +596,7 @@ std::string artifactJson(uint64_t faultSeed, const sim::FaultSchedule& shrunk,
   if (violation) {
     out << ", \"persist\": {\"mode\": \"" << violation->persistMode
         << "\", \"seed\": " << violation->persistSeed << "}"
-        << ", \"detail\": \"" << jsonEscape(violation->detail) << "\"";
+        << ", \"detail\": \"" << obs::jsonEscape(violation->detail) << "\"";
   }
   out << "}";
   return out.str();
@@ -777,7 +756,7 @@ std::string crashJson(const CrashEvalResult& result) {
   out << "{\n  \"workloads\": [\n";
   for (size_t i = 0; i < result.workloads.size(); ++i) {
     const WorkloadCrashStats& w = result.workloads[i];
-    out << "    {\"name\": \"" << jsonEscape(w.name)
+    out << "    {\"name\": \"" << obs::jsonEscape(w.name)
         << "\", \"boundaries\": " << w.boundaries
         << ", \"crash_points\": " << w.crashPoints
         << ", \"violations\": " << w.violations << '}'
@@ -804,11 +783,11 @@ std::string crashJson(const CrashEvalResult& result) {
   out << "  \"violations\": [\n";
   for (size_t i = 0; i < result.violations.size(); ++i) {
     const CrashViolation& v = result.violations[i];
-    out << "    {\"workload\": \"" << jsonEscape(v.workload)
+    out << "    {\"workload\": \"" << obs::jsonEscape(v.workload)
         << "\", \"crash_at_op\": " << v.crashAtOp << ", \"persist\": \""
-        << jsonEscape(v.persistMode) << "\", \"persist_seed\": "
+        << obs::jsonEscape(v.persistMode) << "\", \"persist_seed\": "
         << v.persistSeed << ", \"schedule\": " << scheduleJson(v.schedule)
-        << ", \"detail\": \"" << jsonEscape(v.detail) << "\"}"
+        << ", \"detail\": \"" << obs::jsonEscape(v.detail) << "\"}"
         << (i + 1 < result.violations.size() ? "," : "") << '\n';
   }
   out << "  ],\n";

@@ -29,11 +29,31 @@ core::TagspinSystem buildTagspinServer(
   return server;
 }
 
+core::TagspinSystem buildPaperServer(
+    const sim::World& world,
+    const std::map<Epc, core::OrientationModel>& orientationModels,
+    const core::LocatorConfig& config) {
+  core::TagspinSystem server =
+      buildTagspinServer(world, orientationModels, config);
+  core::PreprocessConfig preprocess;
+  preprocess.dedupe = false;
+  preprocess.repairTimestamps = false;
+  preprocess.hampelFilter = false;
+  server.setPreprocessConfig(preprocess);
+  core::RigHealthThresholds keepAll;
+  keepAll.minSnapshots = 2;
+  keepAll.minArcCoverage = 0.0;
+  keepAll.minPeakValue = 0.0;
+  keepAll.rejectQuarantined = false;
+  server.setHealthThresholds(keepAll);
+  return server;
+}
+
 Estimator makeTagspin2D(const core::LocatorConfig& config) {
   return [config](const TrialContext& ctx) {
     const core::TagspinSystem server =
-        buildTagspinServer(ctx.world, ctx.orientationModels, config);
-    const core::Fix2D fix = server.locate2D(ctx.reports);
+        buildPaperServer(ctx.world, ctx.orientationModels, config);
+    const core::Fix2D fix = fixOrThrow(server.tryLocate2D(ctx.reports));
     const double planeZ =
         ctx.world.rigs.empty() ? 0.0 : ctx.world.rigs[0].rig.center.z;
     return geom::Vec3{fix.position.x, fix.position.y, planeZ};
@@ -43,9 +63,8 @@ Estimator makeTagspin2D(const core::LocatorConfig& config) {
 Estimator makeTagspin3D(const core::LocatorConfig& config) {
   return [config](const TrialContext& ctx) {
     const core::TagspinSystem server =
-        buildTagspinServer(ctx.world, ctx.orientationModels, config);
-    const core::Fix3D fix = server.locate3D(ctx.reports);
-    return fix.position;
+        buildPaperServer(ctx.world, ctx.orientationModels, config);
+    return fixOrThrow(server.tryLocate3D(ctx.reports)).position;
   };
 }
 

@@ -2,7 +2,12 @@
 // localizers so they can be swapped inside runExperiment.
 #pragma once
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "core/config.hpp"
+#include "core/locator.hpp"
 #include "eval/runner.hpp"
 
 namespace tagspin::baselines {
@@ -26,8 +31,31 @@ core::TagspinSystem buildTagspinServer(
     const std::map<Epc, core::OrientationModel>& orientationModels,
     const core::LocatorConfig& config);
 
-/// Tagspin 2D: register every horizontal rig, install the prelude models,
-/// locate, return (x, y, rig-plane z).
+/// buildTagspinServer set up as the paper's estimator (section V): no
+/// robust preprocess stage, so a rig's snapshots are its sorted and
+/// subsampled reads, and health thresholds that keep every heard rig whose
+/// profile can be built.  tryLocate2D/3D then return exactly the strict
+/// Locator::locate2D/3D fix over every heard rig.  The paper figures and
+/// ablations use it; a server keeps buildTagspinServer's robust defaults.
+core::TagspinSystem buildPaperServer(
+    const sim::World& world,
+    const std::map<Epc, core::OrientationModel>& orientationModels,
+    const core::LocatorConfig& config);
+
+/// The fix inside a tryLocate2D/3D result.  Throws std::runtime_error
+/// naming the ErrorCode when there is none (runExperiment counts the trial
+/// as failed).
+template <typename Resilient>
+auto fixOrThrow(core::Result<Resilient> result) {
+  if (!result) {
+    throw std::runtime_error(std::string(core::errorCodeName(result.code())) +
+                             ": " + result.error().message);
+  }
+  return std::move(result->fix);
+}
+
+/// Tagspin 2D: the paper server over every rig of the world, with the
+/// prelude models installed; returns (x, y, rig-plane z).
 Estimator makeTagspin2D(const core::LocatorConfig& config = {});
 
 /// Tagspin 3D: as above but with the spatial spectrum and z recovery.

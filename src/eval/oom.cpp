@@ -12,6 +12,7 @@
 #include "capture/replay.hpp"
 #include "capture/writer.hpp"
 #include "eval/ddmin.hpp"
+#include "obs/export.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/checkpoint.hpp"
 #include "runtime/fleet.hpp"
@@ -703,28 +704,6 @@ sim::MemFaultSchedule randomMemSchedule(std::mt19937_64& rng, uint64_t maxOp,
 // ---------------------------------------------------------------------------
 // JSON
 
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string memScheduleJson(const sim::MemFaultSchedule& schedule) {
   std::ostringstream out;
   out << '[';
@@ -918,7 +897,7 @@ std::string oomJson(const OomEvalResult& result) {
   out << "{\n  \"workloads\": [\n";
   for (size_t i = 0; i < result.workloads.size(); ++i) {
     const WorkloadOomStats& w = result.workloads[i];
-    out << "    {\"name\": \"" << jsonEscape(w.name)
+    out << "    {\"name\": \"" << obs::jsonEscape(w.name)
         << "\", \"boundaries\": " << w.boundaries
         << ", \"points\": " << w.points << ", \"denials\": " << w.denials
         << ", \"violations\": " << w.violations << '}'
@@ -959,10 +938,10 @@ std::string oomJson(const OomEvalResult& result) {
   out << "  \"violations\": [\n";
   for (size_t i = 0; i < result.violations.size(); ++i) {
     const OomViolation& v = result.violations[i];
-    out << "    {\"workload\": \"" << jsonEscape(v.workload)
+    out << "    {\"workload\": \"" << obs::jsonEscape(v.workload)
         << "\", \"fail_at_op\": " << v.failAtOp
         << ", \"schedule\": " << memScheduleJson(v.schedule)
-        << ", \"detail\": \"" << jsonEscape(v.detail) << "\"}"
+        << ", \"detail\": \"" << obs::jsonEscape(v.detail) << "\"}"
         << (i + 1 < result.violations.size() ? "," : "") << '\n';
   }
   out << "  ],\n";

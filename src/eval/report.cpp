@@ -7,22 +7,6 @@
 
 namespace tagspin::eval {
 
-std::string consumeOutDir(std::vector<std::string>& args,
-                          const std::string& fallback) {
-  std::string dir = fallback;
-  for (auto it = args.begin(); it != args.end(); ++it) {
-    if (it->rfind("--out=", 0) == 0) {
-      dir = it->substr(6);
-      args.erase(it);
-      break;
-    }
-  }
-  if (dir.empty()) dir = ".";
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);  // best effort; open() reports
-  return dir;
-}
-
 std::string outputPath(const std::string& dir, const std::string& name) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);

@@ -37,13 +37,6 @@ void printSeries(const std::string& xLabel, const std::string& yLabel,
 void printProfileAscii(const std::string& name,
                        std::span<const double> profile, int rows = 12);
 
-/// Output directory for bench artifacts: consume a leading "--out=DIR"
-/// argument from `args` (erasing it) and return DIR, or `fallback` when no
-/// flag is present.  The directory is created (recursively) either way, so
-/// figure binaries stop littering the CWD.
-std::string consumeOutDir(std::vector<std::string>& args,
-                          const std::string& fallback = "bench/out");
-
 /// dir + "/" + name with the directory created; the one place bench file
 /// paths are assembled.
 std::string outputPath(const std::string& dir, const std::string& name);

@@ -15,6 +15,8 @@ std::string num(double v) {
   return buf;
 }
 
+}  // namespace
+
 std::string jsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -36,8 +38,6 @@ std::string jsonEscape(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string prometheusName(const std::string& name) {
   std::string out = "tagspin_";

@@ -15,6 +15,10 @@
 
 namespace tagspin::obs {
 
+/// `s` as the body of a JSON string literal: quote, backslash, newline and
+/// tab get their short escapes, any other control character \u00XX.
+std::string jsonEscape(const std::string& s);
+
 /// "session.disconnects" -> "tagspin_session_disconnects"; any character
 /// outside [a-zA-Z0-9_] becomes '_'.
 std::string prometheusName(const std::string& name);

@@ -28,10 +28,10 @@ sim::World makeThreeRigWorld(uint64_t seed = 17) {
 /// Make the channel ideal: no ambient-interference outliers (3% of reads by
 /// default), no Gaussian phase noise (whose 3-sigma tails the Hampel filter
 /// legitimately trims), no multipath (a deep fade produces an abrupt phase
-/// excursion that is flagged the same way).  The bit-identity tests need a
-/// stream where the robust stages have nothing to repair: on a noisy stream
-/// the filter is *supposed* to drop reads, and robust != strict is the
-/// correct outcome.
+/// excursion that is flagged the same way).  The bit-identity tests compare
+/// the served fix with the strict Locator::locate2D/3D over the same robust
+/// observations, which must agree when every rig is healthy; a stream with
+/// nothing to repair keeps every rig healthy.
 void disableInterference(sim::World& world) {
   rf::ChannelConfig cc = world.channel.config();
   cc.phaseOutlierProb = 0.0;
@@ -69,7 +69,8 @@ TEST(Resilience, CleanStream2DIsBitIdenticalToStrictPath) {
   const auto reports = interrogateAt(world, truth);
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
 
-  const core::Fix2D strict = server.locate2D(reports);
+  const core::Fix2D strict =
+      server.locator().locate2D(server.collectObservationsRobust(reports));
   const core::Result<core::ResilientFix2D> res = server.tryLocate2D(reports);
   ASSERT_TRUE(res) << res.error().message;
 
@@ -96,7 +97,8 @@ TEST(Resilience, CleanStream3DIsBitIdenticalToStrictPath) {
   const auto reports = interrogateAt(world, truth);
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
 
-  const core::Fix3D strict = server.locate3D(reports);
+  const core::Fix3D strict =
+      server.locator().locate3D(server.collectObservationsRobust(reports));
   const core::Result<core::ResilientFix3D> res = server.tryLocate3D(reports);
   ASSERT_TRUE(res) << res.error().message;
   EXPECT_EQ(res->report.grade, core::FixGrade::kFull);
@@ -260,31 +262,39 @@ const BrokenRig kBrokenRigs[] = {
 
 TEST(Resilience, UnbuildableRigIsDroppedWithTheConstructorsReason) {
   // One of three rigs cannot be profiled: tryLocate2D/3D must drop it with
-  // the PowerProfile constructor's message and fix on the other two.
+  // the PowerProfile constructor's message and fix on the other two.  With
+  // no peak gate (minPeakValue = 0) the profile error alone must drop it.
   const core::Locator locator;
+  core::RigHealthThresholds noPeakGate;
+  noPeakGate.minPeakValue = 0.0;
   for (const BrokenRig& broken : kBrokenRigs) {
-    SCOPED_TRACE(broken.name);
-    std::vector<core::RigObservation> obs = syntheticRow(3);
-    broken.breakIt(obs[1]);
-    const auto check = [&](const core::ResilienceReport& report) {
-      EXPECT_EQ(report.grade, core::FixGrade::kDegraded);
-      EXPECT_EQ(report.usedRigs, (std::vector<size_t>{0, 2}));
-      ASSERT_EQ(report.droppedRigs, (std::vector<size_t>{1}));
-      EXPECT_NE(report.droppedReasons[0].find(broken.reason),
-                std::string::npos)
-          << report.droppedReasons[0];
-      EXPECT_EQ(report.rigHealth[1].profileError,
-                report.droppedReasons[0]);
-      EXPECT_FALSE(core::isHealthy(report.rigHealth[1], {}));
-    };
-    // An exception escaping either call fails the test.
-    const auto fix2 = locator.tryLocate2D(obs);
-    ASSERT_TRUE(fix2) << fix2.error().message;
-    check(fix2->report);
-    EXPECT_LT(geom::distance(fix2->fix.position, geom::Vec2{0.7, 1.9}), 0.05);
-    const auto fix3 = locator.tryLocate3D(obs);
-    ASSERT_TRUE(fix3) << fix3.error().message;
-    check(fix3->report);
+    for (const core::RigHealthThresholds& thresholds :
+         {core::RigHealthThresholds{}, noPeakGate}) {
+      SCOPED_TRACE(std::string(broken.name) + ", minPeakValue " +
+                   std::to_string(thresholds.minPeakValue));
+      std::vector<core::RigObservation> obs = syntheticRow(3);
+      broken.breakIt(obs[1]);
+      const auto check = [&](const core::ResilienceReport& report) {
+        EXPECT_EQ(report.grade, core::FixGrade::kDegraded);
+        EXPECT_EQ(report.usedRigs, (std::vector<size_t>{0, 2}));
+        ASSERT_EQ(report.droppedRigs, (std::vector<size_t>{1}));
+        EXPECT_NE(report.droppedReasons[0].find(broken.reason),
+                  std::string::npos)
+            << report.droppedReasons[0];
+        EXPECT_EQ(report.rigHealth[1].profileError,
+                  report.droppedReasons[0]);
+        EXPECT_FALSE(core::isHealthy(report.rigHealth[1], thresholds));
+      };
+      // An exception escaping either call fails the test.
+      const auto fix2 = locator.tryLocate2D(obs, thresholds);
+      ASSERT_TRUE(fix2) << fix2.error().message;
+      check(fix2->report);
+      EXPECT_LT(geom::distance(fix2->fix.position, geom::Vec2{0.7, 1.9}),
+                0.05);
+      const auto fix3 = locator.tryLocate3D(obs, thresholds);
+      ASSERT_TRUE(fix3) << fix3.error().message;
+      check(fix3->report);
+    }
   }
 }
 

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "geom/angles.hpp"
 #include "rf/constants.hpp"
 #include "synthetic.hpp"
@@ -38,9 +36,9 @@ struct Deployment {
   geom::Vec3 reader;
 };
 
-Deployment makeDeployment(const geom::Vec3& reader) {
-  Deployment dep;
-  dep.reader = reader;
+Deployment makeDeployment(const geom::Vec3& reader,
+                          const LocatorConfig& config = {}) {
+  Deployment dep{TagspinSystem(config), {}, reader};
   const geom::Vec3 centers[2] = {{-0.2, 0.0, 0.0}, {0.2, 0.0, 0.0}};
   for (int i = 0; i < 2; ++i) {
     const rfid::Epc epc = rfid::Epc::forSimulatedTag(static_cast<uint32_t>(i));
@@ -66,14 +64,31 @@ Deployment makeDeployment(const geom::Vec3& reader) {
 TEST(TagspinSystem, Locate2DFromReportStream) {
   Deployment dep = makeDeployment({0.7, 2.2, 0.0});
   EXPECT_EQ(dep.server.rigCount(), 2u);
-  const Fix2D fix = dep.server.locate2D(dep.reports);
-  EXPECT_LT(geom::distance(fix.position, dep.reader.xy()), 0.06);
+  const auto fix = dep.server.tryLocate2D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_LT(geom::distance(fix->fix.position, dep.reader.xy()), 0.06);
 }
 
 TEST(TagspinSystem, Locate3DFromReportStream) {
   Deployment dep = makeDeployment({0.7, 2.2, 0.9});
-  const Fix3D fix = dep.server.locate3D(dep.reports);
-  EXPECT_LT(geom::distance(fix.position, dep.reader), 0.12);
+  const auto fix = dep.server.tryLocate3D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_LT(geom::distance(fix->fix.position, dep.reader), 0.12);
+}
+
+TEST(TagspinSystem, UnbuildableVerticalRigLeavesBothZCandidates) {
+  // The vertical rig is heard, but its profile cannot be built (zero
+  // radius): tryLocate3D still answers, with the mirror candidate kept.
+  LocatorConfig lc;
+  lc.zResolution = ZResolution::kBoth;
+  Deployment dep = makeDeployment({0.7, 2.2, 0.9}, lc);
+  RigSpec broken;
+  broken.kinematics = defaultKinematics();
+  broken.kinematics.radiusM = 0.0;
+  dep.server.registerVerticalRig(rfid::Epc::forSimulatedTag(0), broken);
+  const auto fix = dep.server.tryLocate3D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_TRUE(fix->fix.mirrorCandidate.has_value());
 }
 
 TEST(TagspinSystem, IgnoresUnknownTags) {
@@ -89,20 +104,21 @@ TEST(TagspinSystem, IgnoresUnknownTags) {
     stray.timestampS += 0.1;
     dep.reports.push_back(stray);
   }
-  const Fix2D fix = dep.server.locate2D(dep.reports);
-  EXPECT_LT(geom::distance(fix.position, dep.reader.xy()), 0.06);
+  const auto fix = dep.server.tryLocate2D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_LT(geom::distance(fix->fix.position, dep.reader.xy()), 0.06);
 }
 
-TEST(TagspinSystem, ThrowsWhenRigsNotHeard) {
+TEST(TagspinSystem, TooFewRigsWhenRigsNotHeard) {
   Deployment dep = makeDeployment({0.7, 2.2, 0.0});
-  EXPECT_THROW(dep.server.locate2D({}), std::runtime_error);
+  EXPECT_EQ(dep.server.tryLocate2D({}).code(), ErrorCode::kTooFewRigs);
 
   // Only one of the two rigs present in the stream.
   rfid::ReportStream partial;
   for (const rfid::TagReport& r : dep.reports) {
     if (r.epc == rfid::Epc::forSimulatedTag(0)) partial.push_back(r);
   }
-  EXPECT_THROW(dep.server.locate2D(partial), std::runtime_error);
+  EXPECT_EQ(dep.server.tryLocate2D(partial).code(), ErrorCode::kTooFewRigs);
 }
 
 TEST(TagspinSystem, ReRegisteringReplacesRig) {
@@ -113,16 +129,17 @@ TEST(TagspinSystem, ReRegisteringReplacesRig) {
   moved.kinematics = defaultKinematics();
   dep.server.registerRig(rfid::Epc::forSimulatedTag(0), moved);
   EXPECT_EQ(dep.server.rigCount(), 2u);
-  const Fix2D fix = dep.server.locate2D(dep.reports);
+  const auto fix = dep.server.tryLocate2D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
   // The fix is now biased: registry state matters.
-  EXPECT_GT(geom::distance(fix.position, dep.reader.xy()), 0.02);
+  EXPECT_GT(geom::distance(fix->fix.position, dep.reader.xy()), 0.02);
 }
 
 TEST(TagspinSystem, CollectObservationsAttachesModels) {
   Deployment dep = makeDeployment({0.7, 2.2, 0.0});
   OrientationModel model;  // identity; presence still recorded per-EPC
   dep.server.setOrientationModel(rfid::Epc::forSimulatedTag(0), model);
-  const auto obs = dep.server.collectObservations(dep.reports);
+  const auto obs = dep.server.collectObservationsRobust(dep.reports);
   ASSERT_EQ(obs.size(), 2u);
   EXPECT_GT(obs[0].snapshots.size(), 100u);
   EXPECT_GT(obs[1].snapshots.size(), 100u);
@@ -133,13 +150,13 @@ TEST(TagspinSystem, PreprocessConfigRespected) {
   PreprocessConfig pp;
   pp.maxSnapshots = 64;
   dep.server.setPreprocessConfig(pp);
-  const auto obs = dep.server.collectObservations(dep.reports);
+  const auto obs = dep.server.collectObservationsRobust(dep.reports);
   ASSERT_EQ(obs.size(), 2u);
   EXPECT_LE(obs[0].snapshots.size(), 64u);
   // Still locates, just coarser.
-  EXPECT_LT(geom::distance(dep.server.locate2D(dep.reports).position,
-                           dep.reader.xy()),
-            0.25);
+  const auto fix = dep.server.tryLocate2D(dep.reports);
+  ASSERT_TRUE(fix.hasValue()) << fix.error().message;
+  EXPECT_LT(geom::distance(fix->fix.position, dep.reader.xy()), 0.25);
 }
 
 TEST(TagspinSystem, LocateAllAntennasSplitsByPort) {
@@ -155,10 +172,12 @@ TEST(TagspinSystem, LocateAllAntennasSplitsByPort) {
   stray.antennaPort = 3;
   mixed.push_back(stray);
 
-  const auto fixes = dep.server.locateAllAntennas2D(mixed);
-  ASSERT_EQ(fixes.size(), 1u);
-  ASSERT_TRUE(fixes.count(0));
-  EXPECT_LT(geom::distance(fixes.at(0).position, dep.reader.xy()), 0.06);
+  // Per-port calibration: split the stream by port, locate each slice.
+  const auto port0 = dep.server.tryLocate2D(rfid::filterByAntenna(mixed, 0));
+  ASSERT_TRUE(port0.hasValue()) << port0.error().message;
+  EXPECT_LT(geom::distance(port0->fix.position, dep.reader.xy()), 0.06);
+  EXPECT_EQ(dep.server.tryLocate2D(rfid::filterByAntenna(mixed, 3)).code(),
+            ErrorCode::kTooFewRigs);
 }
 
 TEST(TagspinSystem, LocateAllAntennasMultiplePorts) {
@@ -171,10 +190,11 @@ TEST(TagspinSystem, LocateAllAntennasMultiplePorts) {
     r.phaseRad = geom::wrapTwoPi(r.phaseRad + 0.9);  // different port phase
     mixed.push_back(r);
   }
-  const auto fixes = dep.server.locateAllAntennas2D(mixed);
-  ASSERT_EQ(fixes.size(), 2u);
-  for (const auto& [port, fix] : fixes) {
-    EXPECT_LT(geom::distance(fix.position, dep.reader.xy()), 0.06)
+  for (int port : {0, 1}) {
+    const auto fix = dep.server.tryLocate2D(rfid::filterByAntenna(mixed, port));
+    ASSERT_TRUE(fix.hasValue()) << "port " << port << ": "
+                                << fix.error().message;
+    EXPECT_LT(geom::distance(fix->fix.position, dep.reader.xy()), 0.06)
         << "port " << port;
   }
 }

@@ -40,7 +40,7 @@ TEST(EndToEnd, TwoDimensionalAccuracy) {
     sim::World w = world;
     sim::placeReaderAntenna(w, 0, truth);
     const auto reports = sim::interrogate(w, {30.0, 0, 0});
-    const core::Fix2D fix = server.locate2D(reports);
+    const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
     worst = std::max(worst, geom::distance(fix.position, truth.xy()));
   }
   // Paper regime: centimeter-level.  Allow generous headroom for the worst
@@ -55,7 +55,7 @@ TEST(EndToEnd, ThreeDimensionalAccuracy) {
   sim::World w = world;
   sim::placeReaderAntenna(w, 0, truth);
   const auto reports = sim::interrogate(w, {30.0, 0, 0});
-  const core::Fix3D fix = server.locate3D(reports);
+  const core::Fix3D fix = eval::fixOrThrow(server.tryLocate3D(reports));
   EXPECT_LT(geom::distance(fix.position, truth), 0.30);
   EXPECT_GT(fix.position.z, 0.3);  // the z>=plane prior picked up the height
 }
@@ -66,8 +66,8 @@ TEST(EndToEnd, DeterministicGivenSeeds) {
   sim::placeReaderAntenna(world, 0, {0.5, 2.0, 0.0});
   const auto r1 = sim::interrogate(world, {15.0, 0, 1});
   const auto r2 = sim::interrogate(world, {15.0, 0, 1});
-  const core::Fix2D f1 = server.locate2D(r1);
-  const core::Fix2D f2 = server.locate2D(r2);
+  const core::Fix2D f1 = eval::fixOrThrow(server.tryLocate2D(r1));
+  const core::Fix2D f2 = eval::fixOrThrow(server.tryLocate2D(r2));
   EXPECT_DOUBLE_EQ(f1.position.x, f2.position.x);
   EXPECT_DOUBLE_EQ(f1.position.y, f2.position.y);
 }
@@ -87,9 +87,11 @@ TEST(EndToEnd, CalibrationImprovesAccuracyOnAverage) {
     sim::World w = world;
     sim::placeReaderAntenna(w, 0, truth);
     const auto reports = sim::interrogate(w, {30.0, 0, 2});
-    calAcc += geom::distance(calibrated.locate2D(reports).position,
-                             truth.xy());
-    rawAcc += geom::distance(raw.locate2D(reports).position, truth.xy());
+    calAcc += geom::distance(
+        eval::fixOrThrow(calibrated.tryLocate2D(reports)).position,
+        truth.xy());
+    rawAcc += geom::distance(
+        eval::fixOrThrow(raw.tryLocate2D(reports)).position, truth.xy());
   }
   EXPECT_LT(calAcc, rawAcc);
 }
@@ -101,7 +103,7 @@ TEST(EndToEnd, ChannelHoppingHandled) {
   const geom::Vec3 truth{0.4, 1.8, 0.0};
   sim::placeReaderAntenna(world, 0, truth);
   const auto reports = sim::interrogate(world, {30.0, 0, 0});
-  const core::Fix2D fix = server.locate2D(reports);
+  const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
   EXPECT_LT(geom::distance(fix.position, truth.xy()), 0.25);
 }
 
@@ -121,7 +123,7 @@ TEST(EndToEnd, MultiAntennaCalibration) {
     for (int p = 0; p < 4; ++p) sim::placeReaderAntenna(w, p, truths[p]);
     const auto reports =
         sim::interrogate(w, {30.0, port, static_cast<uint64_t>(port)});
-    const core::Fix2D fix = server.locate2D(reports);
+    const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
     EXPECT_LT(geom::distance(fix.position, truths[port].xy()), 0.25)
         << "port " << port;
   }
@@ -144,7 +146,7 @@ TEST(EndToEnd, VerticalRigResolvesMirror) {
   const geom::Vec3 truth{0.5, 1.8, 1.0 - 0.6};
   sim::placeReaderAntenna(world, 0, truth);
   const auto reports = sim::interrogate(world, {30.0, 0, 0});
-  const core::Fix3D fix = server.locate3D(reports);
+  const core::Fix3D fix = eval::fixOrThrow(server.tryLocate3D(reports));
   EXPECT_FALSE(fix.mirrorCandidate.has_value());  // resolved
   EXPECT_LT(std::abs(fix.position.z - truth.z), 0.25);
 }

@@ -5,7 +5,6 @@
 
 #include "core/fusion.hpp"
 #include "core/hologram.hpp"
-#include "core/quality.hpp"
 #include "core/tagspin.hpp"
 #include "eval/estimators.hpp"
 #include "eval/runner.hpp"
@@ -38,10 +37,10 @@ Scene makeScene(uint64_t seed, const geom::Vec3& truth) {
 
 TEST(Extensions, LlrpWireRoundTripPreservesAccuracy) {
   const Scene s = makeScene(41, {0.6, 1.9, 0.0});
-  const core::Fix2D direct = s.server.locate2D(s.reports);
+  const core::Fix2D direct = eval::fixOrThrow(s.server.tryLocate2D(s.reports));
   const rfid::ReportStream wire =
       rfid::llrp::decodeStream(rfid::llrp::encodeStream(s.reports));
-  const core::Fix2D viaWire = s.server.locate2D(wire);
+  const core::Fix2D viaWire = eval::fixOrThrow(s.server.tryLocate2D(wire));
   // 12-bit phase + microsecond timestamps: differences are millimetric.
   EXPECT_LT(geom::distance(direct.position, viaWire.position), 0.01);
   EXPECT_LT(geom::distance(viaWire.position, s.truth.xy()), 0.15);
@@ -49,9 +48,10 @@ TEST(Extensions, LlrpWireRoundTripPreservesAccuracy) {
 
 TEST(Extensions, HologramRefinementMatchesSpectra) {
   const Scene s = makeScene(42, {-0.5, 1.6, 0.0});
-  const core::Fix2D spectra = s.server.locate2D(s.reports);
+  const core::Fix2D spectra =
+      eval::fixOrThrow(s.server.tryLocate2D(s.reports));
 
-  auto obs = s.server.collectObservations(s.reports);
+  auto obs = s.server.collectObservationsRobust(s.reports);
   const geom::Vec3 ref{spectra.position.x, spectra.position.y, 0.0};
   for (core::RigObservation& o : obs) {
     o.snapshots = core::calibrateOrientationAtPosition(
@@ -77,19 +77,12 @@ TEST(Extensions, QualityMetricsTrackConditions) {
         eval::buildTagspinServer(world, {}, {});
     sim::placeReaderAntenna(world, 0, {0.4, 1.6, 0.0});
     const auto reports = sim::interrogate(world, {20.0, 0, 0});
-    const core::Fix2D fix = server.locate2D(reports);
-    const auto obs = server.collectObservations(reports);
-    std::vector<core::SpectrumQuality> spectra;
-    std::vector<geom::Ray2> rays;
-    for (size_t i = 0; i < obs.size(); ++i) {
-      const core::PowerProfile profile(obs[i].snapshots,
-                                       obs[i].rig.kinematics, {});
-      spectra.push_back(
-          core::assessSpectrumSamples(profile.sampleAzimuth(720)));
-      rays.push_back({obs[i].rig.center.xy(), fix.directions[i].azimuth});
-    }
-    return core::fixConfidence(spectra,
-                               core::bearingGdop(rays, fix.position));
+    // The served fix's confidence: spectrum quality of the used rigs and
+    // the bearing geometry at the fix (core::fixConfidence), downgraded
+    // for dropped rigs and robust-estimation warnings.
+    const auto fix = server.tryLocate2D(reports);
+    EXPECT_TRUE(fix.hasValue()) << fix.error().message;
+    return fix ? fix->report.confidence : 0.0;
   };
   const double benign = confidenceOf(43, 0.0);
   const double hostile = confidenceOf(43, 0.45);
@@ -109,8 +102,8 @@ TEST(Extensions, MotorRippleDegradesGracefully) {
         eval::buildTagspinServer(world, {}, {});
     sim::placeReaderAntenna(world, 0, {0.5, 1.8, 0.0});
     const auto reports = sim::interrogate(world, {30.0, 0, 0});
-    return geom::distance(server.locate2D(reports).position,
-                          geom::Vec2{0.5, 1.8});
+    const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
+    return geom::distance(fix.position, geom::Vec2{0.5, 1.8});
   };
   const double ideal = errorWithJitter(0.0);
   const double mild = errorWithJitter(geom::degToRad(1.0));
@@ -141,7 +134,7 @@ TEST(Extensions, FusionOverRoundsBeatsWorstRound) {
   double worst = 0.0;
   for (uint64_t round = 1; round <= 5; ++round) {
     const auto reports = sim::interrogate(world, {10.0, 0, round});
-    fixes.push_back(server.locate2D(reports).position);
+    fixes.push_back(eval::fixOrThrow(server.tryLocate2D(reports)).position);
     worst = std::max(worst, geom::distance(fixes.back(), truth.xy()));
   }
   const geom::Vec2 fused = core::geometricMedian(fixes);

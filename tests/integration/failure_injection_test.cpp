@@ -20,14 +20,14 @@ sim::World makeWorld(uint64_t seed = 11) {
   return sim::makeTwoRigWorld(sc);
 }
 
-TEST(FailureInjection, EmptyStreamThrows) {
+TEST(FailureInjection, EmptyStreamReportsTooFewRigs) {
   const sim::World world = makeWorld();
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
-  EXPECT_THROW(server.locate2D({}), std::runtime_error);
-  EXPECT_THROW(server.locate3D({}), std::runtime_error);
+  EXPECT_EQ(server.tryLocate2D({}).code(), core::ErrorCode::kTooFewRigs);
+  EXPECT_EQ(server.tryLocate3D({}).code(), core::ErrorCode::kTooFewRigs);
 }
 
-TEST(FailureInjection, OneRigSilencedThrows) {
+TEST(FailureInjection, OneRigSilencedReportsTooFewRigs) {
   sim::World world = makeWorld();
   sim::placeReaderAntenna(world, 0, {0.6, 1.8, 0.0});
   auto reports = sim::interrogate(world, {10.0, 0, 0});
@@ -38,7 +38,7 @@ TEST(FailureInjection, OneRigSilencedThrows) {
     if (!(r.epc == silenced)) filtered.push_back(r);
   }
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
-  EXPECT_THROW(server.locate2D(filtered), std::runtime_error);
+  EXPECT_EQ(server.tryLocate2D(filtered).code(), core::ErrorCode::kTooFewRigs);
 }
 
 TEST(FailureInjection, TinySnapshotCountStillReturnsAFix) {
@@ -47,7 +47,7 @@ TEST(FailureInjection, TinySnapshotCountStillReturnsAFix) {
   // One second of interrogation: a few dozen reads per rig.
   const auto reports = sim::interrogate(world, {1.0, 0, 0});
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
-  const core::Fix2D fix = server.locate2D(reports);
+  const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
   // Coarse but finite and in the room.
   EXPECT_LT(geom::distance(fix.position, geom::Vec2{0.6, 1.8}), 1.5);
 }
@@ -60,15 +60,15 @@ TEST(FailureInjection, ReaderOnRigAxisIsDegenerate) {
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
   // Either an explicit failure or a wildly uncertain fix is acceptable;
   // what must not happen is a confidently wrong silent result, so we accept
-  // a throw OR a fix and simply require no crash.
-  try {
-    const core::Fix2D fix = server.locate2D(reports);
+  // a typed error OR a fix and simply require no crash.
+  const auto fix = server.tryLocate2D(reports);
+  if (fix) {
     // Noise separates the rays slightly; the fix can be anywhere along the
     // axis but must be finite.
-    EXPECT_TRUE(std::isfinite(fix.position.x));
-    EXPECT_TRUE(std::isfinite(fix.position.y));
-  } catch (const std::runtime_error&) {
-    SUCCEED();
+    EXPECT_TRUE(std::isfinite(fix->fix.position.x));
+    EXPECT_TRUE(std::isfinite(fix->fix.position.y));
+  } else {
+    EXPECT_NE(fix.code(), core::ErrorCode::kInternal) << fix.error().message;
   }
 }
 
@@ -85,7 +85,7 @@ TEST(FailureInjection, SaturatedInterferenceDegradesGracefully) {
   sim::placeReaderAntenna(world, 0, truth);
   const auto reports = sim::interrogate(world, {30.0, 0, 0});
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
-  const core::Fix2D fix = server.locate2D(reports);
+  const core::Fix2D fix = eval::fixOrThrow(server.tryLocate2D(reports));
   EXPECT_LT(geom::distance(fix.position, truth.xy()), 0.8);
 }
 

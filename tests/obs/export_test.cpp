@@ -56,13 +56,18 @@ TEST(ToJson, StableShapeWithAndWithoutJournal) {
   EXPECT_EQ(bare.find("\"events\""), std::string::npos);
 
   EventJournal journal(4);
-  journal.record(12.5, Severity::kWarn, "watchdog \"fired\"",
+  journal.record(12.5, Severity::kWarn,
+                 "watchdog \"fired\" at C:\\rig\nnext\x01",
                  {{"session", "reader0"}});
   const std::string withEvents = toJson(snap, &journal);
   EXPECT_NE(withEvents.find("\"events_dropped\": 0"), std::string::npos);
   EXPECT_NE(withEvents.find("\"severity\": \"warn\""), std::string::npos);
-  // Quotes inside the message must be escaped (the export is machine-read).
-  EXPECT_NE(withEvents.find("watchdog \\\"fired\\\""), std::string::npos);
+  // Quotes, backslashes and control characters inside the message must be
+  // escaped (the export is machine-read).
+  EXPECT_NE(withEvents.find(
+                "watchdog \\\"fired\\\" at C:\\\\rig\\nnext\\u0001"),
+            std::string::npos)
+      << withEvents;
   EXPECT_NE(withEvents.find("\"session\": \"reader0\""), std::string::npos);
 }
 

@@ -8,7 +8,9 @@
 //
 //   tagspin_cli locate --deployment FILE --trace FILE [--three-d]
 //       Reload the deployment, ingest the trace (CSV or LLRP binary,
-//       by extension) and print the reader fix.
+//       by extension) and print the reader fix with its grade, confidence
+//       and dropped rigs.  When there is no fix, prints the error code and
+//       why, and exits 1.
 //
 //   tagspin_cli inspect --trace FILE
 //       Per-tag read statistics of a trace.
@@ -62,15 +64,8 @@
 //       generator.  Prints the fix and its digest -- replaying the same
 //       capture twice prints the same digest, bit for bit.
 //
-//   tagspin_cli oom [--seed N] [--points N] [--schedule-rounds N]
-//                   [--no-broken-cache] [--no-pressure] [--no-parity]
-//                   [--json[=PATH]]
-//       Resource-exhaustion falsifier: allocation failures injected at
-//       every sampled reservation boundary of the fleet, replay, tracker
-//       and checkpoint paths (simulated allocator only -- the real heap
-//       is never pressured), plus the zero-cost parity gate, the
-//       sustained-pressure fix-rate arm, and the planted accounting bug
-//       that must be caught and shrunk.
+// The crash-consistency and allocation-failure explorers run as the
+// bench/fig_crash and bench/fig_oom binaries.
 //
 // The locate path touches no simulator code: it is exactly what a server
 // attached to a real reader would run.
@@ -91,9 +86,7 @@
 #include "capture/writer.hpp"
 #include "core/serialization.hpp"
 #include "core/tagspin.hpp"
-#include "eval/crash.hpp"
 #include "eval/fleet.hpp"
-#include "eval/oom.hpp"
 #include "eval/runner.hpp"
 #include "eval/track.hpp"
 #include "geom/angles.hpp"
@@ -236,8 +229,18 @@ int cmdLocate(const Args& args) {
   const rfid::ReportStream reports = loadTrace(args.get("trace", "trace.csv"));
   std::printf("%zu reports, %zu registered rigs\n", reports.size(),
               server.rigCount());
-  if (args.has("three-d")) {
-    const core::Fix3D fix = server.locate3D(reports);
+  const auto failed = [](const core::Error& error) {
+    std::fprintf(stderr, "error: %s: %s\n", core::errorCodeName(error.code),
+                 error.message.c_str());
+    return 1;
+  };
+  const bool threeD = args.has("three-d");
+  std::vector<core::RigDirection> directions;
+  core::ResilienceReport report;
+  if (threeD) {
+    auto result = server.tryLocate3D(reports);
+    if (!result) return failed(result.error());
+    const core::Fix3D& fix = result->fix;
     std::printf("fix: (%.3f, %.3f, %.3f) m\n", fix.position.x, fix.position.y,
                 fix.position.z);
     if (fix.mirrorCandidate) {
@@ -245,15 +248,32 @@ int cmdLocate(const Args& args) {
                   fix.mirrorCandidate->x, fix.mirrorCandidate->y,
                   fix.mirrorCandidate->z);
     }
+    directions = fix.directions;
+    report = std::move(result->report);
   } else {
-    const core::Fix2D fix = server.locate2D(reports);
+    auto result = server.tryLocate2D(reports);
+    if (!result) return failed(result.error());
+    const core::Fix2D& fix = result->fix;
     std::printf("fix: (%.3f, %.3f) m  [ray residual %.1f mm]\n",
                 fix.position.x, fix.position.y, fix.residualM * 1000.0);
-    for (size_t i = 0; i < fix.directions.size(); ++i) {
-      std::printf("  rig %zu: azimuth %.2f deg, confidence %.3f\n", i,
-                  geom::radToDeg(fix.directions[i].azimuth),
-                  fix.directions[i].peakValue);
+    directions = fix.directions;
+    report = std::move(result->report);
+  }
+  std::printf("grade %s, confidence %.3f\n", core::fixGradeName(report.grade),
+              report.confidence);
+  // Rig numbers index the heard rigs in EPC order; directions are parallel
+  // to the used ones.
+  for (size_t k = 0; k < directions.size(); ++k) {
+    std::printf("  rig %zu: azimuth %.2f deg", report.usedRigs[k],
+                geom::radToDeg(directions[k].azimuth));
+    if (threeD) {
+      std::printf(", polar %.2f deg", geom::radToDeg(directions[k].polar));
     }
+    std::printf(", peak %.3f\n", directions[k].peakValue);
+  }
+  for (size_t k = 0; k < report.droppedRigs.size(); ++k) {
+    std::printf("  rig %zu dropped: %s\n", report.droppedRigs[k],
+                report.droppedReasons[k].c_str());
   }
   return 0;
 }
@@ -759,108 +779,6 @@ int cmdTrack(const Args& args) {
   return (r.replayDeterministic && r.outageSurvived) ? 0 : 1;
 }
 
-/// crash: run the crash-consistency falsifier (simulated storage only --
-/// nothing on the real disk is touched).  --json=PATH dumps the full
-/// result; any violation or a missed planted bug exits nonzero.
-int cmdCrash(const Args& args) {
-  eval::CrashExploreConfig cfg;
-  cfg.seed = std::stoull(args.get("seed", std::to_string(cfg.seed)));
-  cfg.captureReports = std::stoul(
-      args.get("reports", std::to_string(cfg.captureReports)));
-  cfg.scheduleRounds = std::stoul(
-      args.get("schedule-rounds", std::to_string(cfg.scheduleRounds)));
-  if (args.has("no-broken-writer")) cfg.exploreBrokenWriter = false;
-
-  const eval::CrashEvalResult r = eval::runCrashEval(cfg);
-  for (const eval::WorkloadCrashStats& w : r.workloads) {
-    std::printf("%-22s %6llu boundaries  %7llu crash points  %llu "
-                "violations\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.crashPoints),
-                static_cast<unsigned long long>(w.violations));
-  }
-  std::printf("schedule search: %llu runs, %llu violations\n",
-              static_cast<unsigned long long>(r.scheduleRuns),
-              static_cast<unsigned long long>(r.scheduleViolations));
-  if (cfg.exploreBrokenWriter) {
-    std::printf("planted bug: caught %s, shrunk to %llu fault(s)\n",
-                r.brokenWriterCaught ? "yes" : "NO",
-                static_cast<unsigned long long>(r.brokenShrunkFaults));
-    if (!r.brokenArtifactJson.empty()) {
-      std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
-    }
-  }
-  for (const eval::CrashViolation& v : r.violations) {
-    std::printf("VIOLATION [%s] crashAtOp=%lld persist=%s: %s\n",
-                v.workload.c_str(), static_cast<long long>(v.crashAtOp),
-                v.persistMode.c_str(), v.detail.c_str());
-  }
-  if (args.has("json")) {
-    std::ofstream out(args.get("json", "crash.json"));
-    out << eval::crashJson(r);
-  }
-  std::printf("%s\n", r.pass ? "PASS" : "FAIL");
-  return r.pass ? 0 : 1;
-}
-
-/// oom: run the resource-exhaustion falsifier (simulated allocator only --
-/// the process's real heap is never pressured).  --json=PATH dumps the
-/// full result; any violation, parity divergence, pressure fix-rate miss,
-/// or missed planted bug exits nonzero.
-int cmdOom(const Args& args) {
-  eval::OomExploreConfig cfg;
-  cfg.seed = std::stoull(args.get("seed", std::to_string(cfg.seed)));
-  cfg.pointsPerWorkload = std::stoul(
-      args.get("points", std::to_string(cfg.pointsPerWorkload)));
-  cfg.scheduleRounds = std::stoul(
-      args.get("schedule-rounds", std::to_string(cfg.scheduleRounds)));
-  if (args.has("no-broken-cache")) cfg.exploreBrokenCache = false;
-  if (args.has("no-pressure")) cfg.runPressureArm = false;
-  if (args.has("no-parity")) cfg.runParityGate = false;
-
-  const eval::OomEvalResult r = eval::runOomEval(cfg);
-  for (const eval::WorkloadOomStats& w : r.workloads) {
-    std::printf("%-22s %6llu boundaries  %7llu points  %6llu denials  %llu "
-                "violations\n", w.name.c_str(),
-                static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.points),
-                static_cast<unsigned long long>(w.denials),
-                static_cast<unsigned long long>(w.violations));
-  }
-  std::printf("schedule search: %llu runs, %llu violations\n",
-              static_cast<unsigned long long>(r.scheduleRuns),
-              static_cast<unsigned long long>(r.scheduleViolations));
-  if (r.parityChecked) {
-    std::printf("parity: %s\n",
-                r.parityBitIdentical ? "bit-identical" : "DIVERGED");
-  }
-  if (r.pressureChecked) {
-    std::printf("pressure: fix rate %.4f at %.1f%% utilization, %llu trims, "
-                "%llu ejections\n",
-                r.pressureFixRate, 100.0 * r.pressureUtilization,
-                static_cast<unsigned long long>(r.pressureTrims),
-                static_cast<unsigned long long>(r.pressureEjections));
-  }
-  if (cfg.exploreBrokenCache) {
-    std::printf("planted bug: caught %s, shrunk to %llu fault(s)\n",
-                r.brokenCacheCaught ? "yes" : "NO",
-                static_cast<unsigned long long>(r.brokenShrunkFaults));
-    if (!r.brokenArtifactJson.empty()) {
-      std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
-    }
-  }
-  for (const eval::OomViolation& v : r.violations) {
-    std::printf("VIOLATION [%s] failAtOp=%lld: %s\n", v.workload.c_str(),
-                static_cast<long long>(v.failAtOp), v.detail.c_str());
-  }
-  if (args.has("json")) {
-    std::ofstream out(args.get("json", "oom.json"));
-    out << eval::oomJson(r);
-  }
-  std::printf("%s\n", r.pass ? "PASS" : "FAIL");
-  return r.pass ? 0 : 1;
-}
-
 int cmdStats(const Args& args) {
   const std::string dir = args.get("dir", ".");
   const std::string format = args.get("format", "json");
@@ -884,7 +802,7 @@ int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
                  "usage: tagspin_cli <simulate|locate|inspect|serve|record|"
-                 "replay|track|crash|oom|stats> [--flags]\n");
+                 "replay|track|stats> [--flags]\n");
     return 2;
   }
   try {
@@ -897,8 +815,6 @@ int main(int argc, char** argv) {
     if (cmd == "record") return cmdRecord(args);
     if (cmd == "replay") return cmdReplay(args);
     if (cmd == "track") return cmdTrack(args);
-    if (cmd == "crash") return cmdCrash(args);
-    if (cmd == "oom") return cmdOom(args);
     if (cmd == "stats") return cmdStats(args);
     std::fprintf(stderr, "unknown command: %s\n", cmd.c_str());
     return 2;
