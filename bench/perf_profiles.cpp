@@ -2,11 +2,19 @@
 // (one direction per call, and 720-point evaluateGrid sweeps), azimuth
 // spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
 // search, and the end-to-end 2D fix (strict locate2D and the resilient
-// tryLocate2D).
+// tryLocate2D).  The sweeps and the 3D search run once per kernel level
+// (last argument: 0 baseline, 1 x86-64-v3, 2 x86-64-v4; a level the host
+// lacks is skipped), and the context records the level every other
+// benchmark runs at.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/locator.hpp"
 #include "core/power_profile.hpp"
@@ -45,6 +53,22 @@ std::vector<core::Snapshot> makeSnapshots(size_t n, double phiTrue) {
 
 const core::RigKinematics kKin{0.10, 0.5, 0.0, geom::kPi / 2.0};
 
+/// The kernel level named by the benchmark's argument `index`, or nothing
+/// (the benchmark skipped) when this host cannot run it.
+std::optional<core::KernelIsa> kernelLevel(benchmark::State& state,
+                                           int index) {
+  const auto isa = static_cast<core::KernelIsa>(state.range(index));
+  if (!core::kernelIsaSupported(isa)) {
+    state.SkipWithError(
+        (std::string(core::kernelIsaName(isa)) + " unsupported").c_str());
+    return std::nullopt;
+  }
+  state.SetLabel(core::kernelIsaName(isa));
+  return isa;
+}
+
+const std::vector<int64_t> kLevels = {0, 1, 2};
+
 void BM_EvaluateQ(benchmark::State& state) {
   const auto snaps = makeSnapshots(static_cast<size_t>(state.range(0)), 1.0);
   core::ProfileConfig pc;
@@ -73,9 +97,12 @@ void BM_EvaluateR(benchmark::State& state) {
 }
 BENCHMARK(BM_EvaluateR)->Arg(256)->Arg(1024)->Arg(2500);
 
-// One 720-point evaluateGrid sweep per iteration; items are
-// snapshot-evaluations, so items/s inverts to ns per snapshot-evaluation.
+// One 720-point evaluateGrid sweep per iteration at the kernel level of
+// argument 1; items are snapshot-evaluations, so items/s inverts to ns per
+// snapshot-evaluation.
 void sweepGrid(benchmark::State& state, core::ProfileFormula formula) {
+  const std::optional<core::KernelIsa> isa = kernelLevel(state, 1);
+  if (!isa) return;
   const auto snaps = makeSnapshots(static_cast<size_t>(state.range(0)), 1.0);
   core::ProfileConfig pc;
   pc.formula = formula;
@@ -83,7 +110,7 @@ void sweepGrid(benchmark::State& state, core::ProfileFormula formula) {
   const std::vector<double> grid = dsp::circularGrid(720);
   std::vector<double> out(grid.size());
   for (auto _ : state) {
-    profile.evaluateGrid(grid, 1.0, out);
+    profile.evaluateGridOn(*isa, grid, 1.0, out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -94,12 +121,12 @@ void sweepGrid(benchmark::State& state, core::ProfileFormula formula) {
 void BM_EvaluateGridQ(benchmark::State& state) {
   sweepGrid(state, core::ProfileFormula::kRelativeQ);
 }
-BENCHMARK(BM_EvaluateGridQ)->Arg(256)->Arg(1250);
+BENCHMARK(BM_EvaluateGridQ)->ArgsProduct({{256, 1250}, kLevels});
 
 void BM_EvaluateGridR(benchmark::State& state) {
   sweepGrid(state, core::ProfileFormula::kEnhancedR);
 }
-BENCHMARK(BM_EvaluateGridR)->Arg(256)->Arg(1250);
+BENCHMARK(BM_EvaluateGridR)->ArgsProduct({{256, 1250}, kLevels});
 
 void BM_AzimuthSearchExhaustive(benchmark::State& state) {
   const auto snaps = makeSnapshots(1024, 1.0);
@@ -119,14 +146,26 @@ void BM_AzimuthSearchCoarseFine(benchmark::State& state) {
 }
 BENCHMARK(BM_AzimuthSearchCoarseFine);
 
+// estimateSpatial's search (the non-negative gamma half of the paper
+// config's grid), every evaluation at the kernel level of argument 0.
 void BM_SpatialSearch3D(benchmark::State& state) {
+  const std::optional<core::KernelIsa> isa = kernelLevel(state, 0);
+  if (!isa) return;
   const auto snaps = makeSnapshots(1024, 1.0);
   const core::PowerProfile profile(snaps, kKin, {});
+  const core::SearchConfig search;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::estimateSpatial(profile, {}));
+    benchmark::DoNotOptimize(dsp::maximizeRect(
+        [&](std::span<const double> phis, double gamma,
+            std::span<double> out) {
+          profile.evaluateGridOn(*isa, phis, std::cos(gamma), out);
+        },
+        std::max(search.polarMin, 0.0), search.polarMax,
+        search.azimuthGridPoints / 2,
+        std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds));
   }
 }
-BENCHMARK(BM_SpatialSearch3D);
+BENCHMARK(BM_SpatialSearch3D)->ArgsProduct({kLevels});
 
 void BM_Locate2D(benchmark::State& state) {
   core::RigObservation o1;
@@ -168,4 +207,12 @@ BENCHMARK(BM_TryLocate2D)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "kernel", core::kernelIsaName(core::activeKernelIsa()));
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

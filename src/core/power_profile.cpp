@@ -9,6 +9,7 @@
 #include <map>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
@@ -27,7 +28,8 @@ namespace {
 
 // ---- Inline branch-free math for the kernel (DESIGN.md, "Spectrum
 // kernel").  Plain arithmetic and bit operations only, so the lane loops
-// below vectorize without intrinsics.
+// below vectorize without intrinsics.  Always inlined, so each per-level
+// entry point compiles them at its own instruction-set level.
 
 constexpr double kShifter = 0x1.8p52;  // 1.5 * 2^52
 
@@ -39,7 +41,7 @@ struct Rounded {
   uint64_t integer;
 };
 
-inline Rounded roundShift(double x) {
+[[gnu::always_inline]] inline Rounded roundShift(double x) {
   const double t = x + kShifter;
   return {t - kShifter,
           std::bit_cast<uint64_t>(t) - std::bit_cast<uint64_t>(kShifter)};
@@ -48,9 +50,12 @@ inline Rounded roundShift(double x) {
 /// All ones where `flag` (0 or 1) is set.  Selects are written as bit
 /// masks: a floating-point ?: keeps GCC from vectorizing the lane loops
 /// under its default -ftrapping-math.
-inline uint64_t maskOf(uint64_t flag) { return uint64_t{0} - flag; }
+[[gnu::always_inline]] inline uint64_t maskOf(uint64_t flag) {
+  return uint64_t{0} - flag;
+}
 
-inline double select(uint64_t mask, double ifSet, double ifClear) {
+[[gnu::always_inline]] inline double select(uint64_t mask, double ifSet,
+                                            double ifClear) {
   return std::bit_cast<double>((std::bit_cast<uint64_t>(ifSet) & mask) |
                                (std::bit_cast<uint64_t>(ifClear) & ~mask));
 }
@@ -68,7 +73,7 @@ constexpr double kTwoPiLo = kTwoPi - kTwoPiHi;
 /// through (r + 2pi) - 2pi, which rounds, and so does this.  The weights
 /// need that rounding: with phaseNoiseStd = 1e-3 one ulp of residual moves
 /// a weight by ~1e-11 relative.
-inline double wrapPhase(double x) {
+[[gnu::always_inline]] inline double wrapPhase(double x) {
   const double n = roundShift(x * kInvTwoPi).value;
   const double y = (x - n * kTwoPiHi) - n * kTwoPiLo;
   const double viaPositive = (y + kTwoPi) - kTwoPi;
@@ -79,7 +84,7 @@ inline double wrapPhase(double x) {
 
 /// fdlibm's __kernel_sin (iy = 1) on [-pi/4, pi/4] for the reduced
 /// argument x + y.
-inline double kernelSin(double x, double y) {
+[[gnu::always_inline]] inline double kernelSin(double x, double y) {
   constexpr double S1 = -1.66666666666666324348e-01;
   constexpr double S2 = 8.33333333332248946124e-03;
   constexpr double S3 = -1.98412698298579493134e-04;
@@ -94,7 +99,7 @@ inline double kernelSin(double x, double y) {
 }
 
 /// fdlibm's __kernel_cos on [-pi/4, pi/4] for the reduced argument x + y.
-inline double kernelCos(double x, double y) {
+[[gnu::always_inline]] inline double kernelCos(double x, double y) {
   constexpr double C1 = 4.16666666666666019037e-02;
   constexpr double C2 = -1.38888888888741095749e-03;
   constexpr double C3 = 2.48015872894767294178e-05;
@@ -119,7 +124,7 @@ constexpr double kPio2Lo = 6.07710050650619224932e-11;
 /// sin and cos of x, |x| < 2^20 * pi/2: a two-constant quadrant reduction
 /// (fdlibm's medium path without its cancellation retry) and the fdlibm
 /// kernels, the quadrant applied by swapping and sign-flipping bits.
-inline void sinCos(double x, double& s, double& c) {
+[[gnu::always_inline]] inline void sinCos(double x, double& s, double& c) {
   const Rounded q = roundShift(x * kInvPio2);
   const double hi = x - q.value * kPio2Hi;  // exact
   const double lo = q.value * kPio2Lo;
@@ -140,7 +145,7 @@ inline void sinCos(double x, double& s, double& c) {
 /// |r| <= ln2/2, e^r by its Taylor series to r^13 (truncation < 2^-57),
 /// and 2^k applied as two normal factors so a subnormal result rounds
 /// once.
-inline double expKernel(double x) {
+[[gnu::always_inline]] inline double expKernel(double x) {
   constexpr double kLog2e = 1.44269504088896338700e+00;
   constexpr double kLn2Hi = 6.93147180369123816490e-01;  // 32 bits
   constexpr double kLn2Lo = 1.90821492927058770002e-10;
@@ -197,14 +202,18 @@ PowerProfile::PowerProfile(std::span<const Snapshot> snapshots,
     : config_(config),
       sigmaPair_(config.phaseNoiseStd * std::numbers::sqrt2 *
                  config.weightSigmaScale) {
+  // Every check is written so NaN fails it: a NaN read would poison its
+  // whole channel group's sum.
   if (snapshots.size() < 2) {
     throw std::invalid_argument("PowerProfile: need at least 2 snapshots");
   }
-  if (kinematics.radiusM <= 0.0) {
-    throw std::invalid_argument("PowerProfile: rig radius must be > 0");
+  if (!(kinematics.radiusM > 0.0) || !std::isfinite(kinematics.radiusM)) {
+    throw std::invalid_argument(
+        "PowerProfile: rig radius must be > 0 and finite");
   }
-  if (config.phaseNoiseStd <= 0.0) {
-    throw std::invalid_argument("PowerProfile: phaseNoiseStd must be > 0");
+  if (!(config.phaseNoiseStd > 0.0) || !std::isfinite(config.phaseNoiseStd)) {
+    throw std::invalid_argument(
+        "PowerProfile: phaseNoiseStd must be > 0 and finite");
   }
 
   const bool classical = config.formula == ProfileFormula::kClassicalP;
@@ -220,8 +229,14 @@ PowerProfile::PowerProfile(std::span<const Snapshot> snapshots,
   std::vector<size_t> counts;
   for (size_t i = 0; i < n; ++i) {
     const Snapshot& s = snapshots[i];
-    if (s.lambdaM <= 0.0) {
-      throw std::invalid_argument("PowerProfile: snapshot missing wavelength");
+    if (!(s.lambdaM > 0.0) || !std::isfinite(s.lambdaM)) {
+      throw std::invalid_argument(
+          "PowerProfile: snapshot missing wavelength (lambda must be > 0 "
+          "and finite)");
+    }
+    if (!std::isfinite(s.timeS) || !std::isfinite(s.phaseRad)) {
+      throw std::invalid_argument(
+          "PowerProfile: snapshot time and phase must be finite");
     }
     const auto [it, inserted] =
         groupOfChannel.try_emplace(grouped ? s.channel : 0, counts.size());
@@ -375,31 +390,128 @@ void PowerProfile::evaluateBlock(const double* angles, double scale,
   if (sums != nullptr) *sums = {weightSum, weightSumSq};
 }
 
+void PowerProfile::evaluateAll(const double* angles, size_t count,
+                               double scale, double* out,
+                               WeightSums* sums) const {
+  if (count == 1 || sums != nullptr) {
+    evaluateBlock<1>(angles, scale, out, sums);
+    return;
+  }
+  size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    evaluateBlock<kLanes>(angles + i, scale, out + i, nullptr);
+  }
+  if (i < count) {
+    // Tail block, padded with copies of the last angle.
+    const size_t rest = count - i;
+    double padded[kLanes];
+    double values[kLanes];
+    for (size_t l = 0; l < kLanes; ++l) {
+      padded[l] = angles[i + (l < rest ? l : rest - 1)];
+    }
+    evaluateBlock<kLanes>(padded, scale, values, nullptr);
+    for (size_t l = 0; l < rest; ++l) out[i + l] = values[l];
+  }
+}
+
+// ---- Dispatch (DESIGN.md, "Dispatch").  Three thin entry points inline
+// the one kernel body, each at its own instruction-set level; the build
+// compiles this file with -ffp-contract=off, so the AVX2 and AVX-512
+// entries cannot fuse a multiply-add that the baseline entry rounds twice.
+// Only x86-64 GCC builds get the wider entries.
+
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+#define TAGSPIN_KERNEL_DISPATCH 1
+#else
+#define TAGSPIN_KERNEL_DISPATCH 0
+#endif
+
+struct PowerProfile::Kernel {
+  using Entry = void (*)(const PowerProfile&, const double*, size_t, double,
+                         double*, WeightSums*);
+
+  static void baseline(const PowerProfile& p, const double* angles,
+                       size_t count, double scale, double* out,
+                       WeightSums* sums) {
+    p.evaluateAll(angles, count, scale, out, sums);
+  }
+#if TAGSPIN_KERNEL_DISPATCH
+  [[gnu::target("arch=x86-64-v3")]] static void v3(
+      const PowerProfile& p, const double* angles, size_t count, double scale,
+      double* out, WeightSums* sums) {
+    p.evaluateAll(angles, count, scale, out, sums);
+  }
+  [[gnu::target("arch=x86-64-v4")]] static void v4(
+      const PowerProfile& p, const double* angles, size_t count, double scale,
+      double* out, WeightSums* sums) {
+    p.evaluateAll(angles, count, scale, out, sums);
+  }
+#endif
+
+  static Entry entry(KernelIsa isa) {
+    if (!kernelIsaSupported(isa)) {
+      throw std::invalid_argument(std::string("PowerProfile: kernel level ") +
+                                  kernelIsaName(isa) +
+                                  " is not supported here");
+    }
+#if TAGSPIN_KERNEL_DISPATCH
+    if (isa == KernelIsa::kX86_64_V4) return v4;
+    if (isa == KernelIsa::kX86_64_V3) return v3;
+#endif
+    return baseline;
+  }
+};
+
+namespace {
+
+KernelIsa detectKernelIsa() {
+#if TAGSPIN_KERNEL_DISPATCH
+  // libgcc's checks include the OS saving the YMM/ZMM state.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("x86-64-v4")) return KernelIsa::kX86_64_V4;
+  if (__builtin_cpu_supports("x86-64-v3")) return KernelIsa::kX86_64_V3;
+#endif
+  return KernelIsa::kBaseline;
+}
+
+}  // namespace
+
+KernelIsa activeKernelIsa() {
+  static const KernelIsa isa = detectKernelIsa();
+  return isa;
+}
+
+bool kernelIsaSupported(KernelIsa isa) {
+  // Each level includes the one below it.
+  return static_cast<int>(isa) <= static_cast<int>(activeKernelIsa());
+}
+
+const char* kernelIsaName(KernelIsa isa) {
+  switch (isa) {
+    case KernelIsa::kX86_64_V3:
+      return "x86-64-v3";
+    case KernelIsa::kX86_64_V4:
+      return "x86-64-v4";
+    case KernelIsa::kBaseline:
+      break;
+  }
+  return "baseline";
+}
+
 void PowerProfile::evaluateGrid(std::span<const double> angles, double scale,
                                 std::span<double> out) const {
+  evaluateGridOn(activeKernelIsa(), angles, scale, out);
+}
+
+void PowerProfile::evaluateGridOn(KernelIsa isa,
+                                  std::span<const double> angles,
+                                  double scale, std::span<double> out) const {
   if (angles.size() != out.size()) {
     throw std::invalid_argument(
         "PowerProfile::evaluateGrid: angles and out differ in size");
   }
-  if (angles.size() == 1) {
-    evaluateBlock<1>(angles.data(), scale, out.data(), nullptr);
-    return;
-  }
-  size_t i = 0;
-  for (; i + kLanes <= angles.size(); i += kLanes) {
-    evaluateBlock<kLanes>(angles.data() + i, scale, out.data() + i, nullptr);
-  }
-  if (i < angles.size()) {
-    // Tail block, padded with copies of the last angle.
-    const size_t rest = angles.size() - i;
-    double padded[kLanes];
-    double values[kLanes];
-    for (size_t l = 0; l < kLanes; ++l) {
-      padded[l] = angles[i + std::min(l, rest - 1)];
-    }
-    evaluateBlock<kLanes>(padded, scale, values, nullptr);
-    std::copy_n(values, rest, out.begin() + static_cast<ptrdiff_t>(i));
-  }
+  Kernel::entry(isa)(*this, angles.data(), angles.size(), scale, out.data(),
+                     nullptr);
 }
 
 double PowerProfile::evaluate(double phi, double gamma) const {
@@ -414,11 +526,18 @@ double PowerProfile::evaluateDirection(double angle, double scale) const {
 
 PowerProfile::WeightStats PowerProfile::weightStats(double phi,
                                                     double gamma) const {
+  return weightStatsOn(activeKernelIsa(), phi, gamma);
+}
+
+PowerProfile::WeightStats PowerProfile::weightStatsOn(KernelIsa isa,
+                                                      double phi,
+                                                      double gamma) const {
+  const Kernel::Entry entry = Kernel::entry(isa);
   WeightStats stats;
   if (config_.formula != ProfileFormula::kEnhancedR) return stats;
   WeightSums sums;
   double value = 0.0;
-  evaluateBlock<1>(&phi, std::cos(gamma), &value, &sums);
+  entry(*this, &phi, 1, std::cos(gamma), &value, &sums);
   const double n = static_cast<double>(snapshotCount());
   stats.meanWeight = sums.sum / n;
   stats.effectiveFraction =

@@ -28,9 +28,12 @@
 // Every value comes from one batched kernel, evaluateGrid (DESIGN.md,
 // "Spectrum kernel"): structure-of-arrays snapshot entries, a block of
 // directions evaluated per pass over the snapshots, inline polynomial
-// sin/cos/exp, and no heap allocation per call.
+// sin/cos/exp, and no heap allocation per call.  The kernel is compiled
+// once per instruction-set level and the widest level the CPU supports
+// runs; every level computes the same bits.
 #pragma once
 
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -39,10 +42,33 @@
 
 namespace tagspin::core {
 
+/// The instruction-set levels the spectrum kernel is compiled for
+/// (DESIGN.md, "Dispatch").  The levels differ only in vector width: each
+/// runs the same IEEE operations in the same order, so every level
+/// computes bit-identical profile values.
+enum class KernelIsa {
+  kBaseline,  // the target's default ISA (SSE2 on x86-64)
+  kX86_64_V3,  // AVX2
+  kX86_64_V4,  // AVX-512
+};
+
+/// The level every PowerProfile value is computed at: the widest one this
+/// build and CPU support, chosen once per process.
+KernelIsa activeKernelIsa();
+
+/// Whether this build and CPU can run the kernel at `isa`.  Off x86-64
+/// (or off GCC) only kBaseline is built.
+bool kernelIsaSupported(KernelIsa isa);
+
+/// "baseline", "x86-64-v3" or "x86-64-v4".
+const char* kernelIsaName(KernelIsa isa);
+
 class PowerProfile {
  public:
-  /// Builds the profile over the given snapshots (at least 2 required;
-  /// throws std::invalid_argument otherwise).
+  /// Builds the profile over the given snapshots.  Throws
+  /// std::invalid_argument unless there are at least 2, each with a finite
+  /// time and phase and a finite wavelength > 0, the rig radius is finite
+  /// and > 0 and phaseNoiseStd is finite and > 0.
   PowerProfile(std::span<const Snapshot> snapshots,
                const RigKinematics& kinematics, const ProfileConfig& config);
 
@@ -88,6 +114,13 @@ class PowerProfile {
   };
   WeightStats weightStats(double phi, double gamma = 0.0) const;
 
+  /// evaluateGrid and weightStats at an explicit kernel level instead of
+  /// activeKernelIsa() -- the seam the cross-level tests and benchmarks
+  /// use.  Throw std::invalid_argument if !kernelIsaSupported(isa).
+  void evaluateGridOn(KernelIsa isa, std::span<const double> angles,
+                      double scale, std::span<double> out) const;
+  WeightStats weightStatsOn(KernelIsa isa, double phi, double gamma) const;
+
   size_t snapshotCount() const { return cosA_.size(); }
   const ProfileConfig& config() const { return config_; }
 
@@ -97,11 +130,27 @@ class PowerProfile {
     double sumSq = 0.0;
   };
 
+  // The per-level entry points (power_profile.cpp).
+  struct Kernel;
+
+  // The kernel body.  Always inlined, so each entry point compiles its own
+  // copy at its own instruction-set level; the attribute sits on these
+  // first declarations so every declaration GCC sees carries it.
+
+  /// Evaluates `count` directions: blocks of kLanes plus a padded tail, or
+  /// one lane.  With `sums` set (count == 1), lane 0 also accumulates its
+  /// likelihood weights.
+  [[gnu::always_inline]] inline void evaluateAll(const double* angles,
+                                                 size_t count, double scale,
+                                                 double* out,
+                                                 WeightSums* sums) const;
+
   /// Evaluates L directions in one pass over the snapshots; with `sums`
   /// set, lane 0 also accumulates its likelihood weights.
   template <size_t L>
-  void evaluateBlock(const double* angles, double scale, double* out,
-                     WeightSums* sums) const;
+  [[gnu::always_inline]] inline void evaluateBlock(const double* angles,
+                                                   double scale, double* out,
+                                                   WeightSums* sums) const;
 
   ProfileConfig config_;
   double sigmaPair_ = 0.0;

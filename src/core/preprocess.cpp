@@ -13,17 +13,25 @@ namespace tagspin::core {
 namespace {
 
 /// Collect + RSSI-gate + sort: the shared head of the strict and robust
-/// extraction paths.  `matched` counts reports of the EPC before gating.
+/// extraction paths.  `matched` counts reports of the EPC before gating;
+/// `nonFinite` (if set) counts those dropped for a non-finite timestamp,
+/// phase or frequency -- dropped before the sort, whose ordering a NaN
+/// time would break, and before one NaN can poison a rig's spectrum.
 std::vector<Snapshot> collectSorted(const rfid::ReportStream& reports,
                                     const rfid::Epc& epc,
                                     const PreprocessConfig& config,
-                                    size_t* matched) {
+                                    size_t* matched, size_t* nonFinite) {
   std::vector<Snapshot> snaps;
   size_t seen = 0;
   for (const rfid::TagReport& r : reports) {
     if (!(r.epc == epc)) continue;
     ++seen;
     if (r.rssiDbm < config.minRssiDbm) continue;
+    if (!std::isfinite(r.timestampS) || !std::isfinite(r.phaseRad) ||
+        !std::isfinite(r.frequencyHz)) {
+      if (nonFinite) ++*nonFinite;
+      continue;
+    }
     // A report without a carrier frequency has no wavelength; treat it as
     // unusable rather than letting wavelengthM() throw mid-extraction.
     if (r.frequencyHz <= 0.0) continue;
@@ -48,7 +56,9 @@ std::string noReportsMessage(const rfid::Epc& epc, size_t streamSize,
   return "no usable reports for EPC " + epc.toHex() + " in a stream of " +
          std::to_string(streamSize) + " reports (" + std::to_string(matched) +
          " matched the EPC" +
-         (matched > 0 ? ", all below the RSSI floor)" : ")");
+         (matched > 0 ? ", all below the RSSI floor, non-finite or without "
+                        "a carrier frequency)"
+                      : ")");
 }
 
 void subsample(std::vector<Snapshot>& snaps, size_t maxSnapshots) {
@@ -105,7 +115,8 @@ std::vector<Snapshot> extractSnapshots(const rfid::ReportStream& reports,
                                        const rfid::Epc& epc,
                                        const PreprocessConfig& config) {
   size_t matched = 0;
-  std::vector<Snapshot> snaps = collectSorted(reports, epc, config, &matched);
+  std::vector<Snapshot> snaps =
+      collectSorted(reports, epc, config, &matched, nullptr);
   if (snaps.empty()) {
     throw std::invalid_argument(
         "extractSnapshots: " + noReportsMessage(epc, reports.size(), matched));
@@ -161,15 +172,16 @@ std::vector<Snapshot> hampelFilterPhases(const std::vector<Snapshot>& snaps,
 Result<std::vector<Snapshot>> extractSnapshotsRobust(
     const rfid::ReportStream& reports, const rfid::Epc& epc,
     const PreprocessConfig& config, RepairStats* repairs) {
+  RepairStats local;
+  RepairStats* st = repairs ? repairs : &local;
   size_t matched = 0;
-  std::vector<Snapshot> snaps = collectSorted(reports, epc, config, &matched);
+  std::vector<Snapshot> snaps = collectSorted(reports, epc, config, &matched,
+                                              &st->nonFiniteDropped);
   if (snaps.empty()) {
     return Error{ErrorCode::kNoReports,
                  "extractSnapshotsRobust: " +
                      noReportsMessage(epc, reports.size(), matched)};
   }
-  RepairStats local;
-  RepairStats* st = repairs ? repairs : &local;
 
   if (config.dedupe) {
     std::vector<Snapshot> unique;

@@ -44,6 +44,8 @@ struct PreprocessConfig {
 
 /// What the robust extraction repaired (diagnostics / chaos reporting).
 struct RepairStats {
+  /// Reports with a non-finite timestamp, phase or frequency.
+  size_t nonFiniteDropped = 0;
   size_t duplicatesRemoved = 0;
   size_t timestampOutliersDropped = 0;
   size_t phaseOutliersDropped = 0;

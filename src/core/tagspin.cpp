@@ -14,6 +14,7 @@ TagspinSystem::Instruments TagspinSystem::Instruments::resolve(
     obs::MetricsRegistry* registry) {
   Instruments in;
   if (!registry) return in;
+  in.nonFiniteDropped = registry->counter("preprocess.nonfinite_dropped");
   in.duplicatesRemoved = registry->counter("preprocess.duplicates_removed");
   in.timestampRepairs = registry->counter("preprocess.timestamp_repairs");
   in.phaseOutliersDropped =
@@ -63,6 +64,7 @@ std::optional<RigObservation> TagspinSystem::observe(
     TAGSPIN_SPAN(obs_.preprocessSpan);
     return extractSnapshotsRobust(reports, epc, preprocess_, &repairs);
   }();
+  obs::add(obs_.nonFiniteDropped, repairs.nonFiniteDropped);
   obs::add(obs_.duplicatesRemoved, repairs.duplicatesRemoved);
   obs::add(obs_.timestampRepairs, repairs.timestampOutliersDropped);
   obs::add(obs_.phaseOutliersDropped, repairs.phaseOutliersDropped);

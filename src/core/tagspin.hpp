@@ -92,6 +92,7 @@ class TagspinSystem {
 
  private:
   struct Instruments {
+    obs::Counter* nonFiniteDropped = nullptr;
     obs::Counter* duplicatesRemoved = nullptr;
     obs::Counter* timestampRepairs = nullptr;
     obs::Counter* phaseOutliersDropped = nullptr;

@@ -49,6 +49,7 @@ Supervisor::Instruments Supervisor::Instruments::resolve(
       registry->counter("supervisor.duplicates_suppressed");
   in.unknownEpcDropped = registry->counter("supervisor.unknown_epc_dropped");
   in.weakRssiDropped = registry->counter("supervisor.weak_rssi_dropped");
+  in.invalidDropped = registry->counter("supervisor.invalid_dropped");
   in.decimationsApplied = registry->counter("supervisor.decimations_applied");
   in.sessionsRestarted = registry->counter("supervisor.sessions_restarted");
   in.checkpointSaves = registry->counter("checkpoint.saves");
@@ -153,11 +154,7 @@ void Supervisor::tick(double nowS) {
     slot.session->tick(nowS);
     drainScratch_.clear();
     slot.session->drainInto(drainScratch_);
-    for (const rfid::TagReport& r : drainScratch_) {
-      ++stats_.reportsSeen;
-      obs::add(obs_.reportsSeen);
-      ingest(r);
-    }
+    for (const rfid::TagReport& r : drainScratch_) ingest(r);
   }
 
   if (store_ && config_.checkpointIntervalS > 0.0 &&
@@ -192,19 +189,25 @@ void Supervisor::shutdown(double nowS) {
     slot.session->tick(nowS);
     drainScratch_.clear();
     slot.session->drainInto(drainScratch_);
-    for (const rfid::TagReport& r : drainScratch_) {
-      ++stats_.reportsSeen;
-      obs::add(obs_.reportsSeen);
-      ingest(r);
-    }
+    for (const rfid::TagReport& r : drainScratch_) ingest(r);
   }
   if (store_) saveCheckpoint(nowS);
 }
 
 void Supervisor::ingest(const rfid::TagReport& report) {
+  ++stats_.reportsSeen;
+  obs::add(obs_.reportsSeen);
   if (report.rssiDbm < config_.minRssiDbm) {
     ++stats_.weakRssiDropped;
     obs::add(obs_.weakRssiDropped);
+    return;
+  }
+  // A NaN time or phase would poison the tag's spectrum, and a frequency
+  // <= 0 would become an infinite wavelength.
+  if (!std::isfinite(report.timestampS) || !std::isfinite(report.phaseRad) ||
+      !std::isfinite(report.frequencyHz) || report.frequencyHz <= 0.0) {
+    ++stats_.invalidDropped;
+    obs::add(obs_.invalidDropped);
     return;
   }
   if (findRig(report.epc) == nullptr) {

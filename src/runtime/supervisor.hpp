@@ -73,11 +73,13 @@ struct SupervisorConfig {
 };
 
 struct SupervisorStats {
-  uint64_t reportsSeen = 0;          // drained from session queues
+  uint64_t reportsSeen = 0;          // offered to ingest()
   uint64_t reportsIngested = 0;      // accepted into per-tag state
   uint64_t duplicatesSuppressed = 0;
   uint64_t unknownEpcDropped = 0;    // EPC not in the deployment registry
   uint64_t weakRssiDropped = 0;
+  /// No finite timestamp or phase, or no finite carrier frequency > 0.
+  uint64_t invalidDropped = 0;
   uint64_t decimationsApplied = 0;   // 2x thinning events
   uint64_t sessionsRestarted = 0;    // FAILED sessions replaced
   uint64_t checkpointsSaved = 0;
@@ -117,6 +119,12 @@ class Supervisor {
 
   /// Wind down: stop all sessions and write a final checkpoint.
   void shutdown(double nowS);
+
+  /// Offer one decoded report to the per-tag accumulators -- what tick()
+  /// does with every report a session drains.  Weak, invalid (non-finite
+  /// time or phase, no finite frequency > 0), unknown-EPC and duplicate
+  /// reports are counted and dropped.
+  void ingest(const rfid::TagReport& report);
 
   core::Result<core::ResilientFix2D> tryLocate2D() const;
   core::Result<core::ResilientFix3D> tryLocate3D() const;
@@ -186,6 +194,7 @@ class Supervisor {
     obs::Counter* duplicatesSuppressed = nullptr;
     obs::Counter* unknownEpcDropped = nullptr;
     obs::Counter* weakRssiDropped = nullptr;
+    obs::Counter* invalidDropped = nullptr;
     obs::Counter* decimationsApplied = nullptr;
     obs::Counter* sessionsRestarted = nullptr;
     obs::Counter* checkpointSaves = nullptr;
@@ -198,7 +207,6 @@ class Supervisor {
     static Instruments resolve(obs::MetricsRegistry* registry);
   };
 
-  void ingest(const rfid::TagReport& report);
   /// `epcsOut`, when non-null, receives the EPC of each returned
   /// observation (parallel vectors) -- locateAndRecover2D needs the
   /// mapping back from rig-health indices to tag state.

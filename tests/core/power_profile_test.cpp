@@ -234,6 +234,44 @@ TEST(PowerProfile, Validation) {
                std::invalid_argument);
 }
 
+TEST(PowerProfile, RejectsNonFiniteInput) {
+  // A NaN or infinite value would turn its channel group's sum -- the whole
+  // profile -- into NaN, or enter as a k = 0 entry (lambda = inf).
+  SyntheticConfig sc;
+  sc.count = 10;
+  const auto snaps = makeSnapshots(sc);
+  const double nan = std::nan("");
+  const double inf = HUGE_VAL;
+  for (const double lambda : {nan, inf, -inf}) {
+    auto bad = snaps;
+    bad[3].lambdaM = lambda;
+    EXPECT_THROW(PowerProfile(bad, defaultKinematics(), {}),
+                 std::invalid_argument)
+        << "lambda " << lambda;
+  }
+  for (const double value : {nan, inf}) {
+    auto badTime = snaps;
+    badTime[3].timeS = value;
+    EXPECT_THROW(PowerProfile(badTime, defaultKinematics(), {}),
+                 std::invalid_argument)
+        << "time " << value;
+    auto badPhase = snaps;
+    badPhase[0].phaseRad = value;
+    EXPECT_THROW(PowerProfile(badPhase, defaultKinematics(), {}),
+                 std::invalid_argument)
+        << "phase " << value;
+    RigKinematics badRadius = defaultKinematics();
+    badRadius.radiusM = value;
+    EXPECT_THROW(PowerProfile(snaps, badRadius, {}), std::invalid_argument)
+        << "radius " << value;
+    ProfileConfig badSigma;
+    badSigma.phaseNoiseStd = value;
+    EXPECT_THROW(PowerProfile(snaps, defaultKinematics(), badSigma),
+                 std::invalid_argument)
+        << "phaseNoiseStd " << value;
+  }
+}
+
 TEST(PowerProfile, SampleAzimuthMatchesEvaluate) {
   SyntheticConfig sc;
   const auto snaps = makeSnapshots(sc);

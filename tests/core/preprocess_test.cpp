@@ -266,5 +266,35 @@ TEST(ExtractSnapshotsRobust, StagesCanBeDisabled) {
   EXPECT_EQ(repairs.phaseOutliersDropped, 0u);
 }
 
+TEST(ExtractSnapshotsRobust, DropsNonFiniteReportsBeforeSorting) {
+  // A NaN timestamp would break the sort's ordering contract; a NaN phase or
+  // frequency would poison the rig's spectrum.  Both paths drop such
+  // reports; the robust one counts them.
+  const rfid::ReportStream clean = rampStream(1, 80);
+  rfid::ReportStream dirty = clean;
+  dirty.insert(dirty.begin() + 10, makeReport(1, std::nan(""), 1.0));
+  dirty.insert(dirty.begin() + 30, makeReport(1, 1.3, std::nan("")));
+  dirty.insert(dirty.begin() + 50, makeReport(1, HUGE_VAL, 1.0));
+  rfid::TagReport noFrequency = makeReport(1, 2.1, 1.0);
+  noFrequency.frequencyHz = std::nan("");
+  dirty.push_back(noFrequency);
+  const rfid::Epc epc = rfid::Epc::forSimulatedTag(1);
+  RepairStats repairs;
+  const auto robust = extractSnapshotsRobust(dirty, epc, {}, &repairs);
+  const auto want = extractSnapshotsRobust(clean, epc);
+  ASSERT_TRUE(robust);
+  ASSERT_TRUE(want);
+  EXPECT_EQ(repairs.nonFiniteDropped, 4u);
+  const auto strict = extractSnapshots(dirty, epc);
+  ASSERT_EQ(robust->size(), want->size());
+  ASSERT_EQ(strict.size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*robust)[i].timeS, (*want)[i].timeS);
+    EXPECT_EQ((*robust)[i].phaseRad, (*want)[i].phaseRad);
+    EXPECT_EQ(strict[i].timeS, (*want)[i].timeS);
+    EXPECT_EQ(strict[i].phaseRad, (*want)[i].phaseRad);
+  }
+}
+
 }  // namespace
 }  // namespace tagspin::core

@@ -1,6 +1,7 @@
 // The batched spectrum kernel's resource contract: a sweep makes no heap
 // allocation once the calling thread's scratch has grown, and concurrent
-// const calls on one profile return exactly what a single thread gets.
+// const calls on one profile return exactly what a single thread gets --
+// through the public entry points and at every kernel level.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is its own executable.  It carries the `tsan` label: the concurrent test
@@ -13,24 +14,27 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
 #include "core/power_profile.hpp"
 #include "dsp/grid.hpp"
+#include "kernel_levels.hpp"
 #include "synthetic.hpp"
 
 namespace {
 std::atomic<size_t> gAllocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// All three out of line, so GCC sees neither malloc() behind operator new
+// nor free() behind operator delete and warns about a mismatched pair.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   gAllocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
-// Out of line, so GCC does not inline free() into code that holds the
-// pointer from operator new and warn about a mismatched pair.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
@@ -58,7 +62,34 @@ ProfileConfig configFor(ProfileFormula formula) {
   return pc;
 }
 
-TEST(ProfileContract, SweepMakesNoHeapAllocationAfterWarmUp) {
+/// How a test reaches the kernel: through the public entry points (the
+/// active level), or at one explicit level.
+struct Route {
+  std::optional<KernelIsa> level;
+
+  void sweep(const PowerProfile& profile, std::span<const double> angles,
+             double scale, std::span<double> out) const {
+    if (level) {
+      profile.evaluateGridOn(*level, angles, scale, out);
+    } else {
+      profile.evaluateGrid(angles, scale, out);
+    }
+  }
+  double evaluate(const PowerProfile& profile, double phi,
+                  double gamma) const {
+    if (!level) return profile.evaluate(phi, gamma);
+    double value = 0.0;
+    profile.evaluateGridOn(*level, {&phi, 1}, std::cos(gamma), {&value, 1});
+    return value;
+  }
+  PowerProfile::WeightStats weightStats(const PowerProfile& profile,
+                                        double phi, double gamma) const {
+    return level ? profile.weightStatsOn(*level, phi, gamma)
+                 : profile.weightStats(phi, gamma);
+  }
+};
+
+void expectNoHeapAllocationAfterWarmUp(const Route& route) {
   const auto snaps = hoppingSnapshots();
   const std::vector<double> grid = dsp::circularGrid(720);
   std::vector<double> out(grid.size());
@@ -67,18 +98,18 @@ TEST(ProfileContract, SweepMakesNoHeapAllocationAfterWarmUp) {
         ProfileFormula::kEnhancedR}) {
     const PowerProfile profile(snaps, testing::defaultKinematics(),
                                configFor(formula));
-    profile.evaluateGrid(grid, 1.0, out);  // grows this thread's scratch
+    route.sweep(profile, grid, 1.0, out);  // grows this thread's scratch
     const size_t before = gAllocations.load();
-    profile.evaluateGrid(grid, std::cos(0.3), out);
-    double sink = profile.evaluate(1.0, 0.2);
-    sink += profile.weightStats(1.0, 0.2).effectiveFraction;
+    route.sweep(profile, grid, std::cos(0.3), out);
+    double sink = route.evaluate(profile, 1.0, 0.2);
+    sink += route.weightStats(profile, 1.0, 0.2).effectiveFraction;
     EXPECT_EQ(gAllocations.load() - before, 0u)
         << "formula " << static_cast<int>(formula);
     EXPECT_TRUE(std::isfinite(sink));
   }
 }
 
-TEST(ProfileContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
+void expectConcurrentSweepsMatchSingleThreaded(const Route& route) {
   const auto snaps = hoppingSnapshots();
   const std::vector<double> grid = dsp::circularGrid(720);
   for (const auto formula :
@@ -89,7 +120,7 @@ TEST(ProfileContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
     std::vector<std::vector<double>> expected;
     for (double scale : scales) {
       expected.emplace_back(grid.size());
-      profile.evaluateGrid(grid, scale, expected.back());
+      route.sweep(profile, grid, scale, expected.back());
     }
     constexpr size_t kThreads = 4;
     std::vector<std::vector<std::vector<double>>> got(
@@ -101,7 +132,7 @@ TEST(ProfileContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
         for (size_t k = 0; k < std::size(scales); ++k) {
           // Each thread walks the scales in its own order.
           const size_t s = (k + t) % std::size(scales);
-          profile.evaluateGrid(grid, scales[s], got[t][s]);
+          route.sweep(profile, grid, scales[s], got[t][s]);
         }
       });
     }
@@ -117,6 +148,31 @@ TEST(ProfileContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
     }
   }
 }
+
+TEST(ProfileContract, SweepMakesNoHeapAllocationAfterWarmUp) {
+  expectNoHeapAllocationAfterWarmUp({});
+}
+
+TEST(ProfileContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
+  expectConcurrentSweepsMatchSingleThreaded({});
+}
+
+// The same contract at every kernel level the host supports.
+using KernelIsaContract = testing::PerKernelLevel;
+
+TEST_P(KernelIsaContract, SweepMakesNoHeapAllocationAfterWarmUp) {
+  expectNoHeapAllocationAfterWarmUp({GetParam()});
+}
+
+TEST_P(KernelIsaContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
+  expectConcurrentSweepsMatchSingleThreaded({GetParam()});
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelIsa, KernelIsaContract,
+                         ::testing::Values(KernelIsa::kBaseline,
+                                           KernelIsa::kX86_64_V3,
+                                           KernelIsa::kX86_64_V4),
+                         testing::kernelLevelTestName);
 
 }  // namespace
 }  // namespace tagspin::core

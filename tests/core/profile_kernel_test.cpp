@@ -1,11 +1,14 @@
 // Differential tests of the batched spectrum kernel
 // (PowerProfile::evaluateGrid) against the scalar reference implementation
-// it replaced (reference_profile.hpp), over seeded random snapshot sets.
+// it replaced (reference_profile.hpp), over seeded random snapshot sets,
+// and of every kernel level (KernelIsa) against the baseline level, bit for
+// bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -17,6 +20,7 @@
 #include "dsp/grid.hpp"
 #include "dsp/peaks.hpp"
 #include "geom/angles.hpp"
+#include "kernel_levels.hpp"
 #include "reference_profile.hpp"
 #include "synthetic.hpp"
 
@@ -313,6 +317,204 @@ TEST(ProfileKernel, EvaluateGridRejectsSizeMismatch) {
   std::vector<double> out(4);
   EXPECT_THROW(profile.evaluateGrid(angles, 1.0, out), std::invalid_argument);
 }
+
+// ---- Kernel levels.  Each level the host supports must reproduce the
+// baseline level's bits (memcmp, not a tolerance) over every seeded case:
+// the levels differ only in vector width, so any difference is a
+// contracted multiply-add or a reordered operation.
+
+bool sameBits(const void* a, const void* b, size_t bytes) {
+  return std::memcmp(a, b, bytes) == 0;
+}
+
+bool sameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         sameBits(a.data(), b.data(), a.size() * sizeof(double));
+}
+
+bool sameBits(double a, double b) { return sameBits(&a, &b, sizeof a); }
+
+bool sameBits(const PowerProfile::WeightStats& a,
+              const PowerProfile::WeightStats& b) {
+  return sameBits(a.meanWeight, b.meanWeight) &&
+         sameBits(a.effectiveFraction, b.effectiveFraction);
+}
+
+/// The azimuth and 3D searches of estimateAzimuth/estimateSpatial, with
+/// every evaluation on one explicit level.
+struct LevelSearch {
+  const PowerProfile& profile;
+  KernelIsa isa;
+  SearchConfig search;
+
+  dsp::GridMax1D azimuth() const {
+    return dsp::maximizeCircular(
+               [&](std::span<const double> phis, std::span<double> out) {
+                 profile.evaluateGridOn(isa, phis, 1.0, out);
+               },
+               search.azimuthGridPoints, search.refineRounds)
+        .best;
+  }
+
+  dsp::GridMax2D spatial() const {
+    return dsp::maximizeRect(
+        [&](std::span<const double> phis, double gamma,
+            std::span<double> out) {
+          profile.evaluateGridOn(isa, phis, std::cos(gamma), out);
+        },
+        std::max(search.polarMin, 0.0), search.polarMax,
+        search.azimuthGridPoints / 2,
+        std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds);
+  }
+};
+
+TEST(KernelIsa, ActiveLevelIsTheWidestSupported) {
+  const KernelIsa active = activeKernelIsa();
+  EXPECT_TRUE(kernelIsaSupported(KernelIsa::kBaseline));
+  EXPECT_TRUE(kernelIsaSupported(active));
+  std::string supported;
+  for (const KernelIsa isa : {KernelIsa::kBaseline, KernelIsa::kX86_64_V3,
+                              KernelIsa::kX86_64_V4}) {
+    EXPECT_EQ(kernelIsaSupported(isa), isa <= active) << kernelIsaName(isa);
+    if (kernelIsaSupported(isa)) {
+      supported += std::string(" ") + kernelIsaName(isa);
+    }
+  }
+  EXPECT_STREQ(kernelIsaName(KernelIsa::kBaseline), "baseline");
+  EXPECT_STREQ(kernelIsaName(KernelIsa::kX86_64_V3), "x86-64-v3");
+  EXPECT_STREQ(kernelIsaName(KernelIsa::kX86_64_V4), "x86-64-v4");
+  std::printf("[ kernel ] active level %s; supported:%s\n",
+              kernelIsaName(active), supported.c_str());
+}
+
+TEST(KernelIsa, PublicEntryPointsMatchTheBaselineLevel) {
+  // Whichever level this host runs, every public entry point gives the
+  // baseline level's bits.
+  const SearchConfig search;
+  const std::vector<double> grid = dsp::circularGrid(kGridPoints);
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    const double scale = std::cos(c.gamma);
+    std::vector<double> want(kGridPoints);
+    std::vector<double> got(kGridPoints);
+    profile.evaluateGridOn(KernelIsa::kBaseline, grid, scale, want);
+    profile.evaluateGrid(grid, scale, got);
+    EXPECT_TRUE(sameBits(got, want)) << c.describe();
+    EXPECT_TRUE(sameBits(profile.sampleAzimuth(kGridPoints, c.gamma), want))
+        << c.describe();
+    for (const double phi : {0.0, 1.1, 2.9, 5.5}) {
+      double one = 0.0;
+      profile.evaluateGridOn(KernelIsa::kBaseline, {&phi, 1}, scale,
+                             {&one, 1});
+      EXPECT_TRUE(sameBits(profile.evaluate(phi, c.gamma), one))
+          << c.describe() << " phi " << phi;
+      EXPECT_TRUE(sameBits(profile.evaluateDirection(phi, scale), one))
+          << c.describe() << " phi " << phi;
+      EXPECT_TRUE(sameBits(
+          profile.weightStats(phi, c.gamma),
+          profile.weightStatsOn(KernelIsa::kBaseline, phi, c.gamma)))
+          << c.describe() << " phi " << phi;
+    }
+    const LevelSearch base{profile, KernelIsa::kBaseline, search};
+    const dsp::GridMax1D az = base.azimuth();
+    const AzimuthEstimate gotAz = estimateAzimuth(profile, search);
+    EXPECT_TRUE(sameBits(gotAz.azimuth, az.x) &&
+                sameBits(gotAz.value, az.value))
+        << c.describe();
+    const dsp::GridMax2D sp = base.spatial();
+    const SpatialEstimate gotSp = estimateSpatial(profile, search);
+    EXPECT_TRUE(sameBits(gotSp.azimuth, sp.x) &&
+                sameBits(gotSp.polar, std::abs(sp.y)) &&
+                sameBits(gotSp.value, sp.value))
+        << c.describe();
+  }
+}
+
+using KernelIsaParity = testing::PerKernelLevel;
+
+TEST_P(KernelIsaParity, GridSweepsMatchBaseline) {
+  const std::vector<double> grid = dsp::circularGrid(kGridPoints);
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    for (const double scale : {std::cos(c.gamma), 1.0}) {
+      std::vector<double> want(kGridPoints);
+      std::vector<double> got(kGridPoints);
+      profile.evaluateGridOn(KernelIsa::kBaseline, grid, scale, want);
+      profile.evaluateGridOn(GetParam(), grid, scale, got);
+      ASSERT_TRUE(sameBits(got, want)) << c.describe() << " scale " << scale;
+    }
+  }
+}
+
+TEST_P(KernelIsaParity, BatchesOf1To17MatchBaseline) {
+  // Sizes 1..17 cover the one-lane call, partial and full 8-lane blocks
+  // and the padded tail.
+  std::mt19937_64 rng(17);
+  std::uniform_real_distribution<double> angle(-10.0, 10.0);
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    for (size_t size = 1; size <= 17; ++size) {
+      std::vector<double> angles(size);
+      for (double& a : angles) a = angle(rng);
+      std::vector<double> want(size);
+      std::vector<double> got(size);
+      profile.evaluateGridOn(KernelIsa::kBaseline, angles, std::cos(c.gamma),
+                             want);
+      profile.evaluateGridOn(GetParam(), angles, std::cos(c.gamma), got);
+      ASSERT_TRUE(sameBits(got, want)) << c.describe() << " size " << size;
+    }
+  }
+}
+
+TEST_P(KernelIsaParity, OneDirectionCallsMatchBaseline) {
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    for (const double phi : {0.0, 1.1, 2.9, 5.5}) {
+      for (const double gamma : {c.gamma, 0.0}) {
+        const double scale = std::cos(gamma);
+        double want = 0.0;
+        double got = 0.0;
+        profile.evaluateGridOn(KernelIsa::kBaseline, {&phi, 1}, scale,
+                               {&want, 1});
+        profile.evaluateGridOn(GetParam(), {&phi, 1}, scale, {&got, 1});
+        EXPECT_TRUE(sameBits(got, want))
+            << c.describe() << " phi " << phi << " gamma " << gamma;
+        EXPECT_TRUE(
+            sameBits(profile.weightStatsOn(GetParam(), phi, gamma),
+                     profile.weightStatsOn(KernelIsa::kBaseline, phi, gamma)))
+            << c.describe() << " phi " << phi << " gamma " << gamma;
+      }
+    }
+  }
+}
+
+TEST_P(KernelIsaParity, SearchesMatchBaseline) {
+  const SearchConfig search;
+  for (const KernelCase& c : kernelCases()) {
+    const auto snaps = randomSnapshots(c);
+    const PowerProfile profile(snaps, c.kinematics(), c.profileConfig());
+    const LevelSearch base{profile, KernelIsa::kBaseline, search};
+    const LevelSearch level{profile, GetParam(), search};
+    const dsp::GridMax1D want = base.azimuth();
+    const dsp::GridMax1D got = level.azimuth();
+    EXPECT_TRUE(sameBits(got.x, want.x) && sameBits(got.value, want.value))
+        << c.describe();
+    const dsp::GridMax2D want3 = base.spatial();
+    const dsp::GridMax2D got3 = level.spatial();
+    EXPECT_TRUE(sameBits(got3.x, want3.x) && sameBits(got3.y, want3.y) &&
+                sameBits(got3.value, want3.value))
+        << c.describe();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelIsa, KernelIsaParity,
+                         ::testing::Values(KernelIsa::kX86_64_V3,
+                                           KernelIsa::kX86_64_V4),
+                         testing::kernelLevelTestName);
 
 }  // namespace
 }  // namespace tagspin::core

@@ -11,6 +11,7 @@
 #include "core/tagspin.hpp"
 #include "eval/estimators.hpp"
 #include "geom/angles.hpp"
+#include "obs/metrics.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/scenario.hpp"
 #include "synthetic.hpp"
@@ -105,6 +106,64 @@ TEST(Resilience, CleanStream3DIsBitIdenticalToStrictPath) {
   EXPECT_EQ(res->fix.position.x, strict.position.x);
   EXPECT_EQ(res->fix.position.y, strict.position.y);
   EXPECT_EQ(res->fix.position.z, strict.position.z);
+}
+
+/// The ways one report can carry a non-finite field.
+struct NonFiniteReport {
+  const char* name;
+  void (*breakIt)(rfid::TagReport&);
+};
+
+const NonFiniteReport kNonFiniteReports[] = {
+    {"NaN phase", [](rfid::TagReport& r) { r.phaseRad = std::nan(""); }},
+    {"NaN timestamp", [](rfid::TagReport& r) { r.timestampS = std::nan(""); }},
+    {"infinite timestamp",
+     [](rfid::TagReport& r) { r.timestampS = HUGE_VAL; }},
+    {"NaN frequency", [](rfid::TagReport& r) { r.frequencyHz = std::nan(""); }},
+};
+
+TEST(Resilience, NonFiniteReportGivesTheErasedStreamsFix) {
+  // One revolution (4 pi s at 0.5 rad/s) of 2 and 3 rigs.  One report with
+  // a non-finite field used to poison its rig's whole spectrum: 2 rigs gave
+  // too_few_healthy_rigs, 3 rigs dropped a healthy rig.  Dropped at ingest,
+  // it leaves exactly the fix of the stream without it.
+  for (const int rigs : {2, 3}) {
+    sim::ScenarioConfig sc;
+    sc.seed = 11;
+    sim::World world = sim::makeRigRowWorld(sc, rigs);
+    const auto reports = interrogateAt(world, {0.5, 1.9, 0.0}, 4.0 * geom::kPi);
+    const size_t victim = reports.size() / 2;
+    rfid::ReportStream erased = reports;
+    erased.erase(erased.begin() + static_cast<ptrdiff_t>(victim));
+    const core::TagspinSystem reference =
+        eval::buildTagspinServer(world, {}, {});
+    const auto want = reference.tryLocate2D(erased);
+    ASSERT_TRUE(want) << want.error().message;
+    EXPECT_EQ(want->report.grade, core::FixGrade::kFull);
+    for (const NonFiniteReport& bad : kNonFiniteReports) {
+      SCOPED_TRACE(std::to_string(rigs) + " rigs, " + bad.name);
+      rfid::ReportStream dirty = reports;
+      bad.breakIt(dirty[victim]);
+      obs::MetricsRegistry registry;
+      core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
+      server.setMetrics(&registry);
+      const auto got = server.tryLocate2D(dirty);
+      ASSERT_TRUE(got) << got.error().message;
+      EXPECT_EQ(got->fix.position.x, want->fix.position.x);
+      EXPECT_EQ(got->fix.position.y, want->fix.position.y);
+      ASSERT_EQ(got->fix.directions.size(), want->fix.directions.size());
+      for (size_t i = 0; i < want->fix.directions.size(); ++i) {
+        EXPECT_EQ(got->fix.directions[i].azimuth,
+                  want->fix.directions[i].azimuth);
+      }
+      EXPECT_EQ(got->report.grade, want->report.grade);
+      EXPECT_EQ(got->report.usedRigs, want->report.usedRigs);
+      EXPECT_EQ(got->report.confidence, want->report.confidence);
+      EXPECT_EQ(
+          registry.snapshot().counterValue("preprocess.nonfinite_dropped"),
+          1u);
+    }
+  }
 }
 
 TEST(Resilience, StarvedRigIsDroppedWithReasonAndDegradedGrade) {
@@ -258,6 +317,15 @@ const BrokenRig kBrokenRigs[] = {
     {"negative wavelength",
      [](core::RigObservation& o) { o.snapshots[5].lambdaM = -0.325; },
      "snapshot missing wavelength"},
+    {"NaN radius",
+     [](core::RigObservation& o) { o.rig.kinematics.radiusM = std::nan(""); },
+     "rig radius must be > 0 and finite"},
+    {"infinite wavelength",
+     [](core::RigObservation& o) { o.snapshots[5].lambdaM = HUGE_VAL; },
+     "snapshot missing wavelength"},
+    {"NaN phase",
+     [](core::RigObservation& o) { o.snapshots[5].phaseRad = std::nan(""); },
+     "snapshot time and phase must be finite"},
 };
 
 TEST(Resilience, UnbuildableRigIsDroppedWithTheConstructorsReason) {

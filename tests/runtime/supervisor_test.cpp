@@ -10,8 +10,11 @@
 
 #include "../core/synthetic.hpp"
 #include "geom/angles.hpp"
+#include "obs/metrics.hpp"
 #include "rf/constants.hpp"
 #include "rfid/llrp.hpp"
+#include "sim/interrogator.hpp"
+#include "sim/scenario.hpp"
 
 namespace tagspin::runtime {
 namespace {
@@ -116,6 +119,70 @@ TEST(Supervisor, IngestsKnownTagsDropsUnknownWeakAndDuplicate) {
   EXPECT_EQ(sup.tagSnapshotCount(kTag0), 1u);
   EXPECT_EQ(sup.tagSnapshotCount(kTag1), 1u);
   EXPECT_NEAR(sup.lastReportTimestampS(), 0.20, 1e-5);
+}
+
+TEST(Supervisor, InvalidReportGivesTheErasedStreamsFix) {
+  // One revolution of a 3-rig row.  A report with a non-finite time, phase
+  // or frequency, or a frequency <= 0 (an infinite wavelength), is dropped
+  // at ingest, so the fix equals the one without that report.
+  sim::ScenarioConfig sc;
+  sc.seed = 11;
+  sim::World world = sim::makeRigRowWorld(sc, 3);
+  sim::placeReaderAntenna(world, 0, {0.5, 1.9, 0.0});
+  sim::InterrogateConfig ic;
+  ic.durationS = 4.0 * geom::kPi;
+  const rfid::ReportStream reports = sim::interrogate(world, ic);
+  core::DeploymentFile deployment;
+  for (const sim::RigTag& rt : world.rigs) {
+    core::RigSpec spec;
+    spec.center = rt.rig.center;
+    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
+                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
+    deployment.rigs[rt.tag.epc] = spec;
+  }
+  const size_t victim = reports.size() / 2;
+
+  Supervisor reference(testConfig(), deployment);
+  for (size_t i = 0; i < reports.size(); ++i) {
+    if (i != victim) reference.ingest(reports[i]);
+  }
+  const auto want = reference.tryLocate2D();
+  ASSERT_TRUE(want) << want.error().message;
+  EXPECT_EQ(want->report.grade, core::FixGrade::kFull);
+
+  const std::pair<const char*, void (*)(rfid::TagReport&)> breaks[] = {
+      {"NaN phase", [](rfid::TagReport& r) { r.phaseRad = std::nan(""); }},
+      {"NaN time", [](rfid::TagReport& r) { r.timestampS = std::nan(""); }},
+      {"infinite time", [](rfid::TagReport& r) { r.timestampS = HUGE_VAL; }},
+      {"NaN frequency",
+       [](rfid::TagReport& r) { r.frequencyHz = std::nan(""); }},
+      {"zero frequency", [](rfid::TagReport& r) { r.frequencyHz = 0.0; }},
+  };
+  for (const auto& [name, breakIt] : breaks) {
+    SCOPED_TRACE(name);
+    obs::MetricsRegistry registry;
+    SupervisorConfig config = testConfig();
+    config.metrics = &registry;
+    Supervisor sup(config, deployment);
+    for (size_t i = 0; i < reports.size(); ++i) {
+      rfid::TagReport r = reports[i];
+      if (i == victim) breakIt(r);
+      sup.ingest(r);
+    }
+    const auto got = sup.tryLocate2D();
+    ASSERT_TRUE(got) << got.error().message;
+    EXPECT_EQ(got->fix.position.x, want->fix.position.x);
+    EXPECT_EQ(got->fix.position.y, want->fix.position.y);
+    EXPECT_EQ(got->report.grade, want->report.grade);
+    EXPECT_EQ(got->report.usedRigs, want->report.usedRigs);
+    EXPECT_EQ(got->report.confidence, want->report.confidence);
+    EXPECT_EQ(sup.stats().reportsSeen, reports.size());
+    EXPECT_EQ(sup.stats().invalidDropped, 1u);
+    EXPECT_EQ(sup.stats().reportsIngested,
+              reference.stats().reportsIngested);
+    EXPECT_EQ(registry.snapshot().counterValue("supervisor.invalid_dropped"),
+              1u);
+  }
 }
 
 TEST(Supervisor, ReplacesTrippedSessionWithoutLosingProgress) {

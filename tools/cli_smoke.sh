@@ -1,8 +1,8 @@
 #!/bin/sh
 # Smoke test of the deployment workflow through tagspin_cli, in a fresh
 # directory: simulate --llrp -> locate -> locate --three-d -> inspect must
-# each exit 0 and both locates must print a fix; locate on an empty trace
-# must exit 1 and name the error code too_few_rigs.
+# each exit 0, both locates must print a fix and inspect the kernel level;
+# locate on an empty trace must exit 1 and name the error code too_few_rigs.
 #
 # Usage: tools/cli_smoke.sh path/to/tagspin_cli WORKDIR
 set -eu
@@ -19,7 +19,9 @@ for mode in "" --three-d; do
   echo "$out"
   echo "$out" | grep -q '^fix:'
 done
-"$cli" inspect --trace "$dir/trace.llrp"
+"$cli" inspect --trace "$dir/trace.llrp" > "$dir/inspect.out"
+cat "$dir/inspect.out"
+grep -q '^kernel: ' "$dir/inspect.out"
 
 : > "$dir/empty.llrp"
 status=0

@@ -24,7 +24,8 @@
 # lock-free MPMC ring, the obs metric atomics, the fleet worker pool
 # (runtime_test includes the pool-vs-inline parity test) and the spectrum
 # kernel's thread_local scratch (profile_contract_test evaluates one
-# profile from four threads), i.e. every place the codebase relies on
+# profile from four threads, through the public entry points and at every
+# kernel level the host supports), i.e. every place the codebase relies on
 # acquire/release or relaxed memory orders or shares state across threads.
 #
 # Usage: tools/run_sanitized.sh [build-dir] [extra ctest args...]

@@ -13,7 +13,8 @@
 //       why, and exits 1.
 //
 //   tagspin_cli inspect --trace FILE
-//       Per-tag read statistics of a trace.
+//       Per-tag read statistics of a trace, and the spectrum-kernel build
+//       (instruction-set level) this host runs.
 //
 //   tagspin_cli serve --dir DIR [--seed N] [--revolutions R] [--rigs N]
 //                     [--kill-at F] [--no-outages] [--reader X,Y,Z]
@@ -33,7 +34,9 @@
 //
 //   tagspin_cli stats --dir DIR [--format prom|json]
 //       On-demand export: print the telemetry snapshot a serve run left in
-//       DIR (Prometheus text or JSON with the recent event journal).
+//       DIR (Prometheus text or JSON with the recent event journal).  The
+//       spectrum-kernel build this host runs goes to stderr, so stdout
+//       stays the export.
 //
 //   tagspin_cli record --dir DIR [--seed N] [--revolutions R] [--rigs N]
 //                      [--no-outages] [--reader X,Y,Z] [--chunk-reports N]
@@ -84,6 +87,7 @@
 #include "capture/record.hpp"
 #include "capture/replay.hpp"
 #include "capture/writer.hpp"
+#include "core/power_profile.hpp"
 #include "core/serialization.hpp"
 #include "core/tagspin.hpp"
 #include "eval/fleet.hpp"
@@ -278,8 +282,15 @@ int cmdLocate(const Args& args) {
   return 0;
 }
 
+/// The spectrum-kernel build every profile value of this process uses.
+void printKernel(std::FILE* out) {
+  std::fprintf(out, "kernel: %s\n",
+               core::kernelIsaName(core::activeKernelIsa()));
+}
+
 int cmdInspect(const Args& args) {
   const rfid::ReportStream reports = loadTrace(args.get("trace", "trace.csv"));
+  printKernel(stdout);
   if (reports.empty()) {
     std::printf("empty trace\n");
     return 0;
@@ -793,6 +804,7 @@ int cmdStats(const Args& args) {
                              "` first)");
   }
   std::cout << in.rdbuf();
+  printKernel(stderr);
   return 0;
 }
 
