@@ -5,7 +5,9 @@
 // tryLocate2D).  The sweeps and the 3D search run once per kernel level
 // (last argument: 0 baseline, 1 x86-64-v3, 2 x86-64-v4; a level the host
 // lacks is skipped), and the context records the level every other
-// benchmark runs at.
+// benchmark runs at.  The persistence layer: checkpoint text encode and
+// decode in the ingest workload's shape, and the CRC-32 that frames
+// checkpoints and capture chunks (bytes/s).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -19,9 +21,11 @@
 #include "core/locator.hpp"
 #include "core/power_profile.hpp"
 #include "core/preprocess.hpp"
+#include "core/serialization.hpp"
 #include "core/spectrum.hpp"
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
+#include "runtime/checkpoint.hpp"
 
 using namespace tagspin;
 
@@ -204,6 +208,65 @@ void BM_TryLocate2D(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TryLocate2D)->Unit(benchmark::kMillisecond);
+
+/// A checkpoint in the ingest workload's shape: 3 rigs of 4000 snapshots
+/// each (12 000 in all) with LLRP-quantised values -- microsecond
+/// timestamps, 12-bit phases, a 50-channel UHF plan, half-dB RSSI -- no
+/// spectrum, no model, no fix.
+core::CalibrationCheckpoint ingestShapedCheckpoint() {
+  core::CalibrationCheckpoint ckpt;
+  ckpt.sequence = 1;
+  ckpt.lastReportTimestampS = 125.663706;
+  std::mt19937_64 rng(7);
+  for (uint32_t rig = 0; rig < 3; ++rig) {
+    core::TagCalibrationProgress& tag =
+        ckpt.tags[rfid::Epc::forSimulatedTag(rig)];
+    for (int i = 0; i < 4000; ++i) {
+      core::Snapshot s;
+      s.timeS = std::round(i * 31415.9 + rng() % 1000) * 1e-6;
+      s.phaseRad = static_cast<double>(rng() % 4096) * geom::kTwoPi / 4096.0;
+      s.channel = static_cast<int>(rng() % 50);
+      s.lambdaM = 299792458.0 / (902.75e6 + 0.5e6 * s.channel);
+      s.rssiDbm = -40.0 - 0.5 * static_cast<double>(rng() % 80);
+      tag.snapshots.push_back(s);
+    }
+  }
+  return ckpt;
+}
+
+void BM_CheckpointEncode(benchmark::State& state) {
+  const core::CalibrationCheckpoint ckpt = ingestShapedCheckpoint();
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string text = core::checkpointToString(ckpt);
+    bytes += text.size();
+    benchmark::DoNotOptimize(text.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointEncode)->Unit(benchmark::kMillisecond);
+
+void BM_CheckpointDecode(benchmark::State& state) {
+  const std::string text = core::checkpointToString(ingestShapedCheckpoint());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::checkpointFromString(text));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+BENCHMARK(BM_CheckpointDecode)->Unit(benchmark::kMillisecond);
+
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(1 << 20);
+  std::mt19937_64 rng(3);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime::crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

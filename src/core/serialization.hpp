@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/orientation_calibration.hpp"
@@ -33,7 +34,7 @@ DeploymentFile readDeployment(std::istream& in);
 
 /// Convenience: (de)serialize through strings.
 std::string deploymentToString(const DeploymentFile& deployment);
-DeploymentFile deploymentFromString(const std::string& text);
+DeploymentFile deploymentFromString(std::string_view text);
 
 /// Orientation models alone (the prelude's output artifact).
 void writeOrientationModel(std::ostream& out, const OrientationModel& model);
@@ -101,6 +102,6 @@ struct CalibrationCheckpoint {
 void writeCheckpoint(std::ostream& out, const CalibrationCheckpoint& ckpt);
 CalibrationCheckpoint readCheckpoint(std::istream& in);
 std::string checkpointToString(const CalibrationCheckpoint& ckpt);
-CalibrationCheckpoint checkpointFromString(const std::string& text);
+CalibrationCheckpoint checkpointFromString(std::string_view text);
 
 }  // namespace tagspin::core

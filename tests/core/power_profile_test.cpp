@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 
 #include "core/spectrum.hpp"
 #include "dsp/grid.hpp"
@@ -30,6 +33,23 @@ struct PeakCase {
   double radius;
   ProfileFormula formula;
 };
+
+/// "Q_az100_r0p10": the case's test name, and what gtest prints for it.
+/// Left to itself gtest prints the struct's bytes, uninitialized padding
+/// included, into the names ctest registers, so they changed from build to
+/// build.
+std::string caseName(const PeakCase& c) {
+  const char formula = c.formula == ProfileFormula::kRelativeQ   ? 'Q'
+                       : c.formula == ProfileFormula::kEnhancedR ? 'R'
+                                                                 : 'P';
+  char name[32];
+  std::snprintf(name, sizeof(name), "%c_az%d_r%dp%02d", formula,
+                static_cast<int>(c.azimuthDeg), static_cast<int>(c.radius),
+                static_cast<int>(std::lround(c.radius * 100.0)) % 100);
+  return name;
+}
+
+void PrintTo(const PeakCase& c, std::ostream* os) { *os << caseName(c); }
 
 class PeakSweep : public ::testing::TestWithParam<PeakCase> {};
 
@@ -62,7 +82,10 @@ INSTANTIATE_TEST_SUITE_P(
         PeakCase{100.0, 0.10, ProfileFormula::kClassicalP},
         PeakCase{100.0, 0.05, ProfileFormula::kEnhancedR},
         PeakCase{100.0, 0.16, ProfileFormula::kEnhancedR},
-        PeakCase{200.0, 0.16, ProfileFormula::kRelativeQ}));
+        PeakCase{200.0, 0.16, ProfileFormula::kRelativeQ}),
+    [](const ::testing::TestParamInfo<PeakCase>& info) {
+      return caseName(info.param);
+    });
 
 TEST(PowerProfile, ValuesBoundedByOne) {
   SyntheticConfig sc;

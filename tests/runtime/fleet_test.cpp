@@ -9,12 +9,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "geom/angles.hpp"
 #include "rfid/llrp.hpp"
+#include "runtime/checkpoint.hpp"
 
 namespace tagspin::runtime {
 namespace {
@@ -321,6 +323,47 @@ TEST(Fleet, MultiShardKillAndRestoreRecoversEverySession) {
         << "session s" << i << " lost state across the restart";
   }
   EXPECT_EQ(resumed.stats().checkpointFailures, 0u);
+
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Fleet, RestoreStopsAtSessionLengthsBeyondTheFile) {
+  // A shard file with a valid CRC whose session line declares a slice
+  // length that, added to the read position, wraps around to the start of
+  // that same line.  Checked by summing, the line re-reads itself once per
+  // declared session; each length must instead fit in the bytes left.
+  const std::string dir = tempDir("tagspin_fleet_wrap");
+  FleetConfig config = testFleetConfig();
+  config.shards = 1;
+  config.checkpointDir = dir;
+  FleetManager fleet(config, twoRigDeployment());
+  fleet.registerSession("a",
+                        [] { return std::make_unique<OneShotTransport>(); });
+
+  core::CalibrationCheckpoint ckpt;
+  ckpt.sequence = 7;
+  core::Snapshot s;
+  s.lambdaM = 0.33;
+  ckpt.tags[kTag0].snapshots.push_back(s);
+  const std::string member = "a" + core::checkpointToString(ckpt);
+  const std::string line = "session 1 18446744073709551584\n";
+  ASSERT_EQ(line.size(), 31u);  // 2^64 - 32 + 1 name byte wraps back 31
+  const auto writeShard = [&](const std::string& payload) {
+    std::ofstream(dir + "/fleet_shard0.ckpt", std::ios::binary)
+        << CheckpointStore::frame(payload);
+  };
+
+  writeShard("fleet-shard v1\nshard 0\nsessions 1000\n" + line + member);
+  EXPECT_EQ(fleet.restore(), 0u);
+
+  // A huge session count is harmless once every session must consume its
+  // own bytes: the one member restores and the loop ends with the text.
+  writeShard("fleet-shard v1\nshard 0\nsessions 18446744073709551615\n"
+             "session 1 " +
+             std::to_string(member.size() - 1) + "\n" + member);
+  EXPECT_EQ(fleet.restore(), 1u);
+  EXPECT_EQ(fleet.supervisor("a")->tagSnapshotCount(kTag0), 1u);
+  EXPECT_EQ(fleet.stats().checkpointFailures, 0u);
 
   std::filesystem::remove_all(dir);
 }

@@ -14,10 +14,14 @@
 # garbage splices against the record/replay format) and the end-to-end
 # record/replay smoke (label `replay_smoke`) round out the set: the capture
 # CRCs must stop damage before any decoder walks out of bounds, which is
-# exactly what ASan/UBSan verify.  The crash-consistency smoke (label
-# `crash_smoke`) drives every durable writer through thousands of simulated
-# power cuts and recoveries -- heavy allocation churn across torn buffers,
-# a good ASan payload.
+# exactly what ASan/UBSan verify.  The checkpoint text codec's tests
+# (CheckpointCodec: differential runs against the iostream codec over
+# seeded writer output, divergence tokens and byte mutations) get a pass of
+# their own: the reader walks raw string_views with hand-written scanning,
+# where an off-by-one is an out-of-bounds read.  The crash-consistency
+# smoke (label `crash_smoke`) drives every durable writer through
+# thousands of simulated power cuts and recoveries -- heavy allocation
+# churn across torn buffers, a good ASan payload.
 #
 # A final pass builds with ThreadSanitizer (its own build dir -- TSan
 # cannot share objects with ASan) and runs the `tsan`-labeled tests: the
@@ -70,6 +74,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L track_smoke
 echo
 echo "== capture fuzz corpus under sanitizers (ctest -R CaptureFormatFuzz) =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'CaptureFormatFuzz'
+
+echo
+echo "== checkpoint text codec under sanitizers (ctest -R CheckpointCodec) =="
+ctest --test-dir "$BUILD_DIR" --output-on-failure -R 'CheckpointCodec'
 
 echo
 echo "== record/replay smoke under sanitizers (ctest -L replay_smoke) =="
