@@ -393,10 +393,11 @@ class FleetFanoutWorkload final : public WorkloadRun {
   void run(sim::SimIoEnv& env) override {
     for (size_t r = 0; r < rounds_; ++r) {
       for (size_t k = 0; k < shards_; ++k) {
-        const std::string payload = "fleet-shard v1\nshard " +
-                                    std::to_string(k) + "\nround " +
-                                    std::to_string(r) + "\nsessions 0\n";
-        const std::string framed = runtime::CheckpointStore::frame(payload);
+        std::string payload = "fleet-shard v1\nshard " + std::to_string(k) +
+                              "\nround " + std::to_string(r) +
+                              "\nsessions 0\n";
+        const std::string framed =
+            runtime::CheckpointStore::frame(std::move(payload));
         oracles_[k].beginSave(framed);
         try {
           write_(env, fleetPath(k), framed);

@@ -60,7 +60,9 @@ class CheckpointStore {
   void setJournal(obs::EventJournal* journal) { journal_ = journal; }
 
   /// Frame / unframe without touching the filesystem (exposed for tests).
-  static std::string frame(const std::string& payload);
+  /// frame() puts the header in front of `payload` in place; pass the
+  /// payload with std::move to spare a copy of it.
+  static std::string frame(std::string payload);
   static core::Result<std::string> unframe(const std::string& fileContents);
 
  private:
