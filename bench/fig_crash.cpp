@@ -44,21 +44,18 @@ int main(int argc, char** argv) {
       eval::outputPath(outDir, pos.size() > 2 ? pos[2] : "fig_crash");
 
   eval::printHeading("Crash consistency: exhaustive power-cut exploration");
-  std::printf("seed 0x%llX, %zu capture reports (chunk %zu, fsync every %zu), "
-              "%zu checkpoint saves, %zux%zu fleet fan-out, %zu schedule "
-              "rounds\n",
+  std::printf("seed 0x%llX, %zu capture reports, %zu schedule rounds\n",
               static_cast<unsigned long long>(cfg.seed), cfg.captureReports,
-              cfg.chunkReports, cfg.fsyncEveryChunks, cfg.checkpointSaves,
-              cfg.fleetShards, cfg.fleetRounds, cfg.scheduleRounds);
+              cfg.scheduleRounds);
 
   const eval::CrashEvalResult r = eval::runCrashEval(cfg);
 
   std::printf("\n%-22s %12s %14s %12s\n", "workload", "boundaries",
               "crash points", "violations");
-  for (const eval::WorkloadCrashStats& w : r.workloads) {
+  for (const eval::ExploreStats& w : r.workloads) {
     std::printf("%-22s %12llu %14llu %12llu\n", w.name.c_str(),
                 static_cast<unsigned long long>(w.boundaries),
-                static_cast<unsigned long long>(w.crashPoints),
+                static_cast<unsigned long long>(w.points),
                 static_cast<unsigned long long>(w.violations));
   }
   std::printf("total: %llu boundaries, %llu crash-point recoveries, %llu "
@@ -74,16 +71,16 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.scheduleViolations));
   std::printf("broken writer: caught %s, failing schedule %s (%llu faults), "
               "shrunk to %llu fault(s)\n",
-              r.brokenWriterCaught ? "yes" : "NO",
-              r.brokenScheduleFound ? "found" : "NOT FOUND",
-              static_cast<unsigned long long>(r.brokenScheduleFaults),
-              static_cast<unsigned long long>(r.brokenShrunkFaults));
-  if (!r.brokenArtifactJson.empty()) {
-    std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
+              r.brokenWriter.caught ? "yes" : "NO",
+              r.brokenWriter.scheduleFound ? "found" : "NOT FOUND",
+              static_cast<unsigned long long>(r.brokenWriter.scheduleFaults),
+              static_cast<unsigned long long>(r.brokenWriter.shrunkFaults));
+  if (!r.brokenWriter.artifactJson.empty()) {
+    std::printf("minimal artifact: %s\n", r.brokenWriter.artifactJson.c_str());
   }
-  for (const eval::CrashViolation& v : r.violations) {
+  for (const auto& v : r.violations) {
     std::printf("VIOLATION [%s] crashAtOp=%lld persist=%s: %s\n",
-                v.workload.c_str(), static_cast<long long>(v.crashAtOp),
+                v.workload.c_str(), static_cast<long long>(v.atOp),
                 v.persistMode.c_str(), v.detail.c_str());
   }
 
@@ -99,16 +96,14 @@ int main(int argc, char** argv) {
   record.gate("crash_points_ge_2000", r.totalCrashPoints >= 2000);
   record.gate("zero_violations", r.totalViolations == 0);
   record.gate("schedule_search_clean", r.scheduleViolations == 0);
-  record.gate("broken_writer_caught", r.brokenWriterCaught);
-  record.gate("broken_writer_shrunk",
-              r.brokenScheduleFound && r.brokenShrunkFaults >= 1 &&
-                  r.brokenShrunkFaults <= r.brokenScheduleFaults);
+  record.gate("broken_writer_caught", r.brokenWriter.caught);
+  record.gate("broken_writer_shrunk", r.brokenWriter.shrunk());
   record.metric("total_boundaries", double(r.totalBoundaries));
   record.metric("total_crash_points", double(r.totalCrashPoints));
   record.metric("total_violations", double(r.totalViolations));
   record.metric("schedule_runs", double(r.scheduleRuns));
   record.metric("schedule_crashes", double(r.scheduleCrashes));
-  record.metric("broken_shrunk_faults", double(r.brokenShrunkFaults));
+  record.metric("broken_shrunk_faults", double(r.brokenWriter.shrunkFaults));
   if (!sidecarPath.empty()) {
     bench::writeBenchSidecar(sidecarPath, record);
   }
@@ -118,7 +113,7 @@ int main(int argc, char** argv) {
               "caught and shrunk to %llu fault(s)]\n",
               static_cast<unsigned long long>(r.totalCrashPoints),
               static_cast<unsigned long long>(r.totalViolations),
-              static_cast<unsigned long long>(r.brokenShrunkFaults));
+              static_cast<unsigned long long>(r.brokenWriter.shrunkFaults));
 
   return record.allGatesPass() ? 0 : 1;
 }

@@ -49,20 +49,19 @@ int main(int argc, char** argv) {
   eval::printHeading(
       "Resource exhaustion: exhaustive allocation-failure exploration");
   std::printf("seed 0x%llX, %zu sessions x %zu shards, %zu points per "
-              "workload, %zu schedule rounds, pressure budget factor %.2f\n",
+              "workload, %zu schedule rounds\n",
               static_cast<unsigned long long>(cfg.seed), cfg.fleetSessions,
-              cfg.fleetShards, cfg.pointsPerWorkload, cfg.scheduleRounds,
-              cfg.pressureBudgetFactor);
+              cfg.fleetShards, cfg.pointsPerWorkload, cfg.scheduleRounds);
 
   const eval::OomEvalResult r = eval::runOomEval(cfg);
 
   std::printf("\n%-22s %12s %10s %10s %12s\n", "workload", "boundaries",
               "points", "denials", "violations");
-  for (const eval::WorkloadOomStats& w : r.workloads) {
+  for (const eval::ExploreStats& w : r.workloads) {
     std::printf("%-22s %12llu %10llu %10llu %12llu\n", w.name.c_str(),
                 static_cast<unsigned long long>(w.boundaries),
                 static_cast<unsigned long long>(w.points),
-                static_cast<unsigned long long>(w.denials),
+                static_cast<unsigned long long>(w.fired),
                 static_cast<unsigned long long>(w.violations));
   }
   std::printf("total: %llu boundaries, %llu failure points, %llu "
@@ -88,16 +87,16 @@ int main(int argc, char** argv) {
               r.pressureRecovered ? "yes" : "NO");
   std::printf("broken cache: caught %s, failing schedule %s (%llu faults), "
               "shrunk to %llu fault(s)\n",
-              r.brokenCacheCaught ? "yes" : "NO",
-              r.brokenScheduleFound ? "found" : "NOT FOUND",
-              static_cast<unsigned long long>(r.brokenScheduleFaults),
-              static_cast<unsigned long long>(r.brokenShrunkFaults));
-  if (!r.brokenArtifactJson.empty()) {
-    std::printf("minimal artifact: %s\n", r.brokenArtifactJson.c_str());
+              r.brokenCache.caught ? "yes" : "NO",
+              r.brokenCache.scheduleFound ? "found" : "NOT FOUND",
+              static_cast<unsigned long long>(r.brokenCache.scheduleFaults),
+              static_cast<unsigned long long>(r.brokenCache.shrunkFaults));
+  if (!r.brokenCache.artifactJson.empty()) {
+    std::printf("minimal artifact: %s\n", r.brokenCache.artifactJson.c_str());
   }
-  for (const eval::OomViolation& v : r.violations) {
+  for (const auto& v : r.violations) {
     std::printf("VIOLATION [%s] failAtOp=%lld: %s\n", v.workload.c_str(),
-                static_cast<long long>(v.failAtOp), v.detail.c_str());
+                static_cast<long long>(v.atOp), v.detail.c_str());
   }
 
   const std::string payload = eval::oomJson(r);
@@ -112,16 +111,12 @@ int main(int argc, char** argv) {
   record.gate("oom_points_ge_500", r.totalPoints >= 500);
   record.gate("zero_violations", r.totalViolations == 0);
   record.gate("schedule_search_clean", r.scheduleViolations == 0);
-  record.gate("parity_bit_identical",
-              !r.parityChecked || r.parityBitIdentical);
+  record.gate("parity_bit_identical", r.parityBitIdentical);
   record.gate("pressure_fix_rate_ge_99",
-              !r.pressureChecked ||
-                  r.pressureFixRate >= cfg.pressureMinFixRate);
-  record.gate("pressure_recovered", !r.pressureChecked || r.pressureRecovered);
-  record.gate("broken_cache_caught", r.brokenCacheCaught);
-  record.gate("broken_cache_shrunk",
-              r.brokenScheduleFound && r.brokenShrunkFaults >= 1 &&
-                  r.brokenShrunkFaults <= r.brokenScheduleFaults);
+              r.pressureFixRate >= eval::kPressureMinFixRate);
+  record.gate("pressure_recovered", r.pressureRecovered);
+  record.gate("broken_cache_caught", r.brokenCache.caught);
+  record.gate("broken_cache_shrunk", r.brokenCache.shrunk());
   record.metric("total_boundaries", double(r.totalBoundaries));
   record.metric("total_points", double(r.totalPoints));
   record.metric("total_violations", double(r.totalViolations));
@@ -129,7 +124,7 @@ int main(int argc, char** argv) {
   record.metric("pressure_fix_rate", r.pressureFixRate);
   record.metric("pressure_utilization", r.pressureUtilization);
   record.metric("pressure_trims", double(r.pressureTrims));
-  record.metric("broken_shrunk_faults", double(r.brokenShrunkFaults));
+  record.metric("broken_shrunk_faults", double(r.brokenCache.shrunkFaults));
   if (!sidecarPath.empty()) {
     bench::writeBenchSidecar(sidecarPath, record);
   }
@@ -142,7 +137,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(r.totalViolations),
               r.pressureFixRate,
               r.parityBitIdentical ? "bit-identical" : "DIVERGED",
-              static_cast<unsigned long long>(r.brokenShrunkFaults));
+              static_cast<unsigned long long>(r.brokenCache.shrunkFaults));
 
   return record.allGatesPass() ? 0 : 1;
 }

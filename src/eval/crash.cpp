@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -14,7 +15,6 @@
 #include "capture/format.hpp"
 #include "capture/writer.hpp"
 #include "core/io_env.hpp"
-#include "eval/ddmin.hpp"
 #include "obs/export.hpp"
 #include "core/serialization.hpp"
 #include "runtime/checkpoint.hpp"
@@ -28,6 +28,15 @@ namespace {
 // directory on a rig.
 constexpr const char* kCheckpointPath = "calib.ckpt";
 constexpr const char* kCapturePath = "session.tspc";
+
+// The workloads' fixed sizes (see CrashExploreConfig).
+constexpr size_t kCheckpointSaves = 10;
+constexpr size_t kChunkReports = 8;
+constexpr size_t kFsyncEveryChunks = 2;
+constexpr size_t kReopenExtraReports = 10;
+constexpr size_t kFleetShards = 3;
+constexpr size_t kFleetRounds = 4;
+constexpr size_t kPersistSeeds = 4;
 
 std::string fleetPath(size_t shard) {
   return "fleet_shard" + std::to_string(shard) + ".ckpt";
@@ -231,19 +240,17 @@ class CaptureWorkload final : public WorkloadRun {
   /// `base` is the strictly-valid decoded prefix of the starting image
   /// (empty for a fresh file); `fileAlreadyDurable` says the directory
   /// entry predates this run.
-  CaptureWorkload(const CrashExploreConfig& config,
-                  capture::TimedStream toAppend, capture::TimedStream base,
+  CaptureWorkload(capture::TimedStream toAppend, capture::TimedStream base,
                   bool fileAlreadyDurable)
-      : config_(config),
-        toAppend_(std::move(toAppend)),
+      : toAppend_(std::move(toAppend)),
         base_(std::move(base)),
         fileDurable_(fileAlreadyDurable),
         ackedReports_(base_.size()) {}
 
   void run(sim::SimIoEnv& env) override {
     capture::CaptureWriterConfig wc;
-    wc.chunkReports = config_.chunkReports;
-    wc.fsyncEveryChunks = config_.fsyncEveryChunks;
+    wc.chunkReports = kChunkReports;
+    wc.fsyncEveryChunks = kFsyncEveryChunks;
     wc.io = &env;
     // Local on purpose: if a power cut unwinds out of here, the writer's
     // destructor must run while `env` is still alive.
@@ -295,11 +302,11 @@ class CaptureWorkload final : public WorkloadRun {
     // Reopen on the crashed disk, append, close: the real recovery path
     // must resume without corrupting the chunks that survived.
     const capture::TimedStream extra =
-        quantizedStream(config_.reopenExtraReports, 900'000'000);
+        quantizedStream(kReopenExtraReports, 900'000'000);
     sim::SimIoEnv recovery(image);
     try {
       capture::CaptureWriterConfig wc;
-      wc.chunkReports = config_.chunkReports;
+      wc.chunkReports = kChunkReports;
       wc.fsyncEveryChunks = 1;
       wc.io = &recovery;
       capture::CaptureWriter writer(kCapturePath, wc);
@@ -333,7 +340,6 @@ class CaptureWorkload final : public WorkloadRun {
   }
 
  private:
-  const CrashExploreConfig& config_;
   capture::TimedStream toAppend_;
   capture::TimedStream base_;
   capture::TimedStream appended_;
@@ -441,138 +447,83 @@ class FleetFanoutWorkload final : public WorkloadRun {
 };
 
 // ---------------------------------------------------------------------------
-// The explorer
+// The run path
 
-std::vector<sim::CrashPersist> persistVariants(const CrashExploreConfig& cfg) {
+/// A workload and the disk it starts from.
+struct Workload {
+  const char* name;
+  WorkloadFactory factory;
+  sim::DiskImage initial;
+};
+
+std::vector<sim::CrashPersist> persistVariants(uint64_t seed) {
   using M = sim::CrashPersist::Mode;
   std::vector<sim::CrashPersist> v = {
       {M::kNone, 0}, {M::kAll, 0}, {M::kMetaOnly, 0}};
-  for (size_t i = 0; i < cfg.persistSeeds; ++i) {
-    v.push_back({M::kPrefix, sim::deriveSeed(cfg.seed, 0x700 + i)});
-    v.push_back({M::kSubset, sim::deriveSeed(cfg.seed, 0x800 + i)});
+  for (size_t i = 0; i < kPersistSeeds; ++i) {
+    v.push_back({M::kPrefix, sim::deriveSeed(seed, 0x700 + i)});
+    v.push_back({M::kSubset, sim::deriveSeed(seed, 0x800 + i)});
   }
   return v;
 }
 
-void keepDetail(std::vector<CrashViolation>& details, size_t cap,
-                CrashViolation violation) {
-  if (details.size() < cap) details.push_back(std::move(violation));
-}
-
-/// Enumerate every syscall boundary of the workload, power-cut there, and
-/// recover under every persistence variant.
-WorkloadCrashStats exploreWorkload(const std::string& name,
-                                   const WorkloadFactory& factory,
-                                   const sim::DiskImage& initial,
-                                   const std::vector<sim::CrashPersist>& variants,
-                                   const CrashExploreConfig& cfg,
-                                   std::vector<CrashViolation>& details,
-                                   size_t detailCap) {
-  WorkloadCrashStats stats;
-  stats.name = name;
-
-  {
-    // Fault-free baseline: counts the boundaries and sanity-checks the
-    // workload's own oracle against the live state.
-    auto inst = factory();
-    sim::SimIoEnv env(initial);
-    inst->run(env);
-    stats.boundaries = env.opCount();
-    if (auto bad = inst->checkLive(env.liveImage())) {
-      ++stats.violations;
-      keepDetail(details, detailCap,
-                 {name, -1, {}, "live", 0, "baseline: " + *bad});
-    }
-  }
-
-  for (uint64_t k = 0; k < stats.boundaries; ++k) {
-    auto inst = factory();
-    sim::SimIoEnv env(initial);
-    env.setFaultSeed(sim::deriveSeed(cfg.seed, k));
-    env.setCrashAtOp(static_cast<int64_t>(k));
-    try {
-      inst->run(env);
-    } catch (const sim::SimCrash&) {
-    }
-    // A destructor may have swallowed the SimCrash (CaptureWriter's dtor
-    // catches everything); env.crashed() is the ground truth.
-    if (!env.crashed()) continue;
-    for (const sim::CrashPersist& p : variants) {
-      ++stats.crashPoints;
-      if (auto bad = inst->check(env.crashImage(p))) {
-        ++stats.violations;
-        keepDetail(details, detailCap,
-                   {name, static_cast<int64_t>(k), {},
-                    sim::persistModeName(p.mode), p.seed, *bad});
-      }
-    }
-  }
-  return stats;
-}
-
-sim::FaultSchedule randomSchedule(std::mt19937_64& rng, uint64_t maxOp,
-                                  size_t maxFaults) {
-  static constexpr sim::FaultKind kKinds[] = {
-      sim::FaultKind::kEio,        sim::FaultKind::kEnospc,
-      sim::FaultKind::kEintr,      sim::FaultKind::kShortWrite,
-      sim::FaultKind::kFsyncFailPartial, sim::FaultKind::kCrash};
-  const size_t n = 1 + rng() % maxFaults;
-  sim::FaultSchedule schedule;
-  for (size_t i = 0; i < n; ++i) {
-    sim::Fault f;
-    f.opIndex = rng() % maxOp;
-    f.kind = kKinds[rng() % std::size(kKinds)];
-    schedule.push_back(f);
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::Fault& a, const sim::Fault& b) {
-              return a.opIndex < b.opIndex;
-            });
-  return schedule;
-}
-
-struct ScheduleOutcome {
-  bool crashed = false;
-  uint64_t checks = 0;
-  uint64_t violations = 0;
-  std::optional<CrashViolation> first;
-};
-
-ScheduleOutcome runSchedule(const std::string& name,
-                            const WorkloadFactory& factory,
-                            const sim::FaultSchedule& schedule,
-                            const std::vector<sim::CrashPersist>& variants,
-                            uint64_t faultSeed) {
-  ScheduleOutcome out;
-  auto inst = factory();
-  sim::SimIoEnv env;
+/// One explored run: a fresh SimIoEnv on the workload's starting image,
+/// armed with `schedule`, then the workload, then recovery checked under
+/// every persistence variant when a power cut fired, or the live state
+/// when none did.  `faultSeed` feeds only kFsyncFailPartial.
+RunOutcome<sim::Fault> runSchedule(
+    const Workload& w, const sim::FaultSchedule& schedule,
+    const std::vector<sim::CrashPersist>& variants, uint64_t faultSeed) {
+  RunOutcome<sim::Fault> out;
+  auto inst = w.factory();
+  sim::SimIoEnv env(w.initial);
   env.setFaultSeed(faultSeed);
   env.setFaults(schedule);
   try {
     inst->run(env);
   } catch (const sim::SimCrash&) {
   }
-  out.crashed = env.crashed();
-  if (out.crashed) {
+  out.ops = env.opCount();
+  const auto record = [&](const char* mode, uint64_t seed,
+                          const std::string& detail) {
+    ++out.violations;
+    if (!out.first) {
+      out.first = Violation<sim::Fault>{w.name, -1, schedule, mode, seed,
+                                        detail};
+    }
+  };
+  // A destructor may have swallowed the SimCrash (CaptureWriter's dtor
+  // catches everything); env.crashed() is the ground truth.
+  if (env.crashed()) {
+    out.fired = 1;
     for (const sim::CrashPersist& p : variants) {
       ++out.checks;
       if (auto bad = inst->check(env.crashImage(p))) {
-        ++out.violations;
-        if (!out.first) {
-          out.first = CrashViolation{name, -1, schedule,
-                                     sim::persistModeName(p.mode), p.seed,
-                                     *bad};
-        }
+        record(sim::persistModeName(p.mode), p.seed, *bad);
       }
     }
   } else {
     ++out.checks;
-    if (auto bad = inst->checkLive(env.liveImage())) {
-      ++out.violations;
-      out.first = CrashViolation{name, -1, schedule, "live", 0, *bad};
-    }
+    if (auto bad = inst->checkLive(env.liveImage())) record("live", 0, *bad);
   }
   return out;
+}
+
+/// The crash-point sweep: a power cut at every syscall boundary in turn.
+sim::FaultSchedule powerCuts(uint64_t boundaries) {
+  sim::FaultSchedule cuts;
+  for (uint64_t k = 0; k < boundaries; ++k) {
+    cuts.push_back({k, sim::FaultKind::kCrash});
+  }
+  return cuts;
+}
+
+sim::Fault drawIoFault(std::mt19937_64& rng, uint64_t op) {
+  static constexpr sim::FaultKind kKinds[] = {
+      sim::FaultKind::kEio,        sim::FaultKind::kEnospc,
+      sim::FaultKind::kEintr,      sim::FaultKind::kShortWrite,
+      sim::FaultKind::kFsyncFailPartial, sim::FaultKind::kCrash};
+  return {op, kKinds[rng() % std::size(kKinds)]};
 }
 
 // ---------------------------------------------------------------------------
@@ -589,8 +540,9 @@ std::string scheduleJson(const sim::FaultSchedule& schedule) {
   return out.str();
 }
 
-std::string artifactJson(uint64_t faultSeed, const sim::FaultSchedule& shrunk,
-                         const std::optional<CrashViolation>& violation) {
+std::string artifactJson(
+    uint64_t faultSeed, const sim::FaultSchedule& shrunk,
+    const std::optional<Violation<sim::Fault>>& violation) {
   std::ostringstream out;
   out << "{\"workload\": \"broken_writer\", \"fault_seed\": " << faultSeed
       << ", \"schedule\": " << scheduleJson(shrunk);
@@ -605,15 +557,9 @@ std::string artifactJson(uint64_t faultSeed, const sim::FaultSchedule& shrunk,
 
 }  // namespace
 
-sim::FaultSchedule shrinkSchedule(
-    const sim::FaultSchedule& schedule,
-    const std::function<bool(const sim::FaultSchedule&)>& fails) {
-  return ddminShrink(schedule, fails);
-}
-
 CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   CrashEvalResult result;
-  const std::vector<sim::CrashPersist> variants = persistVariants(config);
+  const std::vector<sim::CrashPersist> variants = persistVariants(config.seed);
 
   const capture::TimedStream mainStream =
       quantizedStream(config.captureReports, 1'000'000);
@@ -621,16 +567,9 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
       quantizedStream(std::max<size_t>(config.captureReports / 2, 1),
                       400'000'000);
 
-  const WorkloadFactory checkpointF = [&config] {
-    return std::make_unique<CheckpointWorkload>(config.checkpointSaves);
-  };
-  const WorkloadFactory captureFreshF = [&config, &mainStream] {
-    return std::make_unique<CaptureWorkload>(config, mainStream,
+  const WorkloadFactory captureFreshF = [&mainStream] {
+    return std::make_unique<CaptureWorkload>(mainStream,
                                              capture::TimedStream{}, false);
-  };
-  const WorkloadFactory fleetF = [&config] {
-    return std::make_unique<FleetFanoutWorkload>(
-        config.fleetShards, config.fleetRounds, &correctDurableWrite);
   };
 
   // Starting images for the reopen workloads: a clean capture, and the same
@@ -653,36 +592,43 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   const capture::TimedStream tornBase =
       decodeStrictPrefix(tornImage.at(kCapturePath));
 
-  const WorkloadFactory reopenCleanF = [&config, &reopenStream, &cleanBase] {
-    return std::make_unique<CaptureWorkload>(config, reopenStream, cleanBase,
-                                             true);
+  const Workload fleet{"fleet_fanout",
+                       [] {
+                         return std::make_unique<FleetFanoutWorkload>(
+                             kFleetShards, kFleetRounds, &correctDurableWrite);
+                       },
+                       {}};
+  const Workload workloads[] = {
+      {"checkpoint",
+       [] { return std::make_unique<CheckpointWorkload>(kCheckpointSaves); },
+       {}},
+      {"capture_append", captureFreshF, {}},
+      {"capture_reopen_clean",
+       [&reopenStream, &cleanBase] {
+         return std::make_unique<CaptureWorkload>(reopenStream, cleanBase,
+                                                  true);
+       },
+       cleanImage},
+      {"capture_reopen_torn",
+       [&reopenStream, &tornBase] {
+         return std::make_unique<CaptureWorkload>(reopenStream, tornBase,
+                                                  true);
+       },
+       tornImage},
+      fleet,
   };
-  const WorkloadFactory reopenTornF = [&config, &reopenStream, &tornBase] {
-    return std::make_unique<CaptureWorkload>(config, reopenStream, tornBase,
-                                             true);
-  };
-
-  const struct {
-    const char* name;
-    const WorkloadFactory* factory;
-    const sim::DiskImage* initial;
-  } kWorkloads[] = {
-      {"checkpoint", &checkpointF, nullptr},
-      {"capture_append", &captureFreshF, nullptr},
-      {"capture_reopen_clean", &reopenCleanF, &cleanImage},
-      {"capture_reopen_torn", &reopenTornF, &tornImage},
-      {"fleet_fanout", &fleetF, nullptr},
-  };
-  const sim::DiskImage empty;
   uint64_t fleetOps = 0;
-  for (const auto& w : kWorkloads) {
-    const WorkloadCrashStats stats = exploreWorkload(
-        w.name, *w.factory, w.initial ? *w.initial : empty, variants, config,
-        result.violations, config.maxViolationDetails);
+  for (const Workload& w : workloads) {
+    const ExploreStats stats = exploreWorkload(
+        w.name,
+        [&](const sim::FaultSchedule& schedule) {
+          return runSchedule(w, schedule, variants, config.seed);
+        },
+        powerCuts, result.violations);
     result.totalBoundaries += stats.boundaries;
-    result.totalCrashPoints += stats.crashPoints;
+    result.totalCrashPoints += stats.points;
     result.totalViolations += stats.violations;
-    if (stats.name == "fleet_fanout") fleetOps = stats.boundaries;
+    if (stats.name == fleet.name) fleetOps = stats.boundaries;
     result.workloads.push_back(stats);
   }
 
@@ -690,65 +636,42 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config) {
   std::mt19937_64 rng = sim::makeRng(sim::deriveSeed(config.seed, 0x5C4ED));
   for (size_t r = 0; r < config.scheduleRounds && fleetOps > 0; ++r) {
     const sim::FaultSchedule schedule =
-        randomSchedule(rng, fleetOps, config.maxScheduleFaults);
-    const ScheduleOutcome out =
-        runSchedule("fleet_fanout", fleetF, schedule, variants,
+        randomSchedule<sim::Fault>(rng, fleetOps, drawIoFault);
+    const RunOutcome<sim::Fault> out =
+        runSchedule(fleet, schedule, variants,
                     sim::deriveSeed(config.seed, 0x900 + r));
     ++result.scheduleRuns;
-    if (out.crashed) ++result.scheduleCrashes;
+    result.scheduleCrashes += out.fired;
     result.scheduleChecks += out.checks;
     result.scheduleViolations += out.violations;
     result.totalViolations += out.violations;
-    if (out.first) {
-      keepDetail(result.violations, config.maxViolationDetails, *out.first);
-    }
+    if (out.first) keepViolation(result.violations, *out.first);
   }
 
   // Falsification arm: the harness must catch the planted ordering bug and
   // shrink a failing schedule to a minimal replayable artifact.
-  if (config.exploreBrokenWriter) {
-    const WorkloadFactory brokenF = [] {
-      return std::make_unique<FleetFanoutWorkload>(1, 2, &brokenDurableWrite);
-    };
-    std::vector<CrashViolation> brokenDetails;
-    const WorkloadCrashStats brokenStats =
-        exploreWorkload("broken_writer", brokenF, empty, variants, config,
-                        brokenDetails, 1);
-    result.brokenWriterCaught = brokenStats.violations > 0;
+  const Workload broken{"broken_writer",
+                        [] {
+                          return std::make_unique<FleetFanoutWorkload>(
+                              1, 2, &brokenDurableWrite);
+                        },
+                        {}};
+  const uint64_t brokenFaultSeed = sim::deriveSeed(config.seed, 0xFA11);
+  const auto runBroken = [&](const sim::FaultSchedule& schedule) {
+    return runSchedule(broken, schedule, variants, brokenFaultSeed);
+  };
+  const uint64_t brokenOps = runBroken({}).ops;
+  result.brokenWriter = falsify(
+      powerCuts(brokenOps), sim::makeRng(sim::deriveSeed(config.seed, 0xB40C)),
+      std::max<uint64_t>(brokenOps, 1), drawIoFault,
+      [&](const sim::FaultSchedule& schedule) {
+        return !schedule.empty() && runBroken(schedule).violations > 0;
+      },
+      [&](const sim::FaultSchedule& shrunk) {
+        return artifactJson(brokenFaultSeed, shrunk, runBroken(shrunk).first);
+      });
 
-    const uint64_t brokenFaultSeed = sim::deriveSeed(config.seed, 0xFA11);
-    const auto fails = [&](const sim::FaultSchedule& schedule) {
-      if (schedule.empty()) return false;
-      return runSchedule("broken_writer", brokenF, schedule, variants,
-                         brokenFaultSeed)
-                 .violations > 0;
-    };
-    std::mt19937_64 brng = sim::makeRng(sim::deriveSeed(config.seed, 0xB40C));
-    sim::FaultSchedule failing;
-    for (size_t r = 0; r < config.brokenSearchRounds && failing.empty(); ++r) {
-      const sim::FaultSchedule candidate = randomSchedule(
-          brng, std::max<uint64_t>(brokenStats.boundaries, 1),
-          config.maxScheduleFaults);
-      if (fails(candidate)) failing = candidate;
-    }
-    if (!failing.empty()) {
-      result.brokenScheduleFound = true;
-      result.brokenScheduleFaults = failing.size();
-      const sim::FaultSchedule shrunk = shrinkSchedule(failing, fails);
-      result.brokenShrunkFaults = shrunk.size();
-      const ScheduleOutcome replay = runSchedule(
-          "broken_writer", brokenF, shrunk, variants, brokenFaultSeed);
-      result.brokenArtifactJson =
-          artifactJson(brokenFaultSeed, shrunk, replay.first);
-    }
-  }
-
-  const bool brokenOk =
-      !config.exploreBrokenWriter ||
-      (result.brokenWriterCaught && result.brokenScheduleFound &&
-       result.brokenShrunkFaults >= 1 &&
-       result.brokenShrunkFaults <= result.brokenScheduleFaults);
-  result.pass = result.totalViolations == 0 && brokenOk;
+  result.pass = result.totalViolations == 0 && result.brokenWriter.ok();
   return result;
 }
 
@@ -756,10 +679,10 @@ std::string crashJson(const CrashEvalResult& result) {
   std::ostringstream out;
   out << "{\n  \"workloads\": [\n";
   for (size_t i = 0; i < result.workloads.size(); ++i) {
-    const WorkloadCrashStats& w = result.workloads[i];
+    const ExploreStats& w = result.workloads[i];
     out << "    {\"name\": \"" << obs::jsonEscape(w.name)
         << "\", \"boundaries\": " << w.boundaries
-        << ", \"crash_points\": " << w.crashPoints
+        << ", \"crash_points\": " << w.points
         << ", \"violations\": " << w.violations << '}'
         << (i + 1 < result.workloads.size() ? "," : "") << '\n';
   }
@@ -771,21 +694,12 @@ std::string crashJson(const CrashEvalResult& result) {
       << ", \"crashes\": " << result.scheduleCrashes
       << ", \"checks\": " << result.scheduleChecks
       << ", \"violations\": " << result.scheduleViolations << "},\n";
-  out << "  \"broken_writer\": {\"caught\": "
-      << (result.brokenWriterCaught ? "true" : "false")
-      << ", \"schedule_found\": "
-      << (result.brokenScheduleFound ? "true" : "false")
-      << ", \"schedule_faults\": " << result.brokenScheduleFaults
-      << ", \"shrunk_faults\": " << result.brokenShrunkFaults
-      << ", \"artifact\": "
-      << (result.brokenArtifactJson.empty() ? "null"
-                                            : result.brokenArtifactJson)
-      << "},\n";
+  out << "  \"broken_writer\": " << result.brokenWriter.json() << ",\n";
   out << "  \"violations\": [\n";
   for (size_t i = 0; i < result.violations.size(); ++i) {
-    const CrashViolation& v = result.violations[i];
+    const Violation<sim::Fault>& v = result.violations[i];
     out << "    {\"workload\": \"" << obs::jsonEscape(v.workload)
-        << "\", \"crash_at_op\": " << v.crashAtOp << ", \"persist\": \""
+        << "\", \"crash_at_op\": " << v.atOp << ", \"persist\": \""
         << obs::jsonEscape(v.persistMode) << "\", \"persist_seed\": "
         << v.persistSeed << ", \"schedule\": " << scheduleJson(v.schedule)
         << ", \"detail\": \"" << obs::jsonEscape(v.detail) << "\"}"

@@ -28,86 +28,47 @@
 //  3. Falsification proof.  A deliberately broken writer (tmp+rename
 //     WITHOUT the data fsync -- the classic ordering bug) is swept by the
 //     same explorer; it must be caught, and a failing fault schedule found
-//     by search must shrink, via delta debugging (shrinkSchedule), to a
+//     by search must shrink, via delta debugging (ddminShrink), to a
 //     minimal replayable artifact (seed + schedule JSON) of the kind a bug
 //     report would carry.  A harness that cannot flag a planted bug proves
 //     nothing by passing.
+//
+// All three run through one path (eval/explore.hpp): a crash point at op k
+// is the one-fault schedule {k, kCrash}, run like any searched schedule.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "eval/explore.hpp"
 #include "sim/io_sim.hpp"
 
 namespace tagspin::eval {
 
+/// The workloads' sizes are fixed: 10 growing checkpoint saves; the
+/// capture writer framing 8 reports a chunk with an fsync every 2 chunks,
+/// and reopen-and-extend appending 10 more; a 3-shard x 4-round fleet
+/// fan-out; and 4 seeds for each random persistence mode.
 struct CrashExploreConfig {
   uint64_t seed = 0xC4A5117ULL;
 
-  /// Checkpoint workload: save() this many growing checkpoints in a row.
-  size_t checkpointSaves = 10;
-
-  /// Capture workloads: reports appended per run, chunking and fsync
-  /// cadence of the writer under test.
+  /// Capture workloads: reports appended per run.
   size_t captureReports = 120;
-  size_t chunkReports = 8;
-  size_t fsyncEveryChunks = 2;
-  /// Reports appended by the reopen-and-extend recovery check.
-  size_t reopenExtraReports = 10;
-
-  /// Fleet fan-out workload: shards x rounds of framed durable writes with
-  /// the per-shard catch fleet.cpp uses (a failed shard checkpoint must not
-  /// kill the tick).
-  size_t fleetShards = 3;
-  size_t fleetRounds = 4;
-
-  /// Seeded persistence variants per random mode (kPrefix and kSubset each
-  /// get this many seeds; kNone/kAll/kMetaOnly are deterministic).
-  size_t persistSeeds = 4;
 
   /// Fault-schedule search: random schedules thrown at the fleet fan-out
-  /// path, and the cap on faults per schedule.
+  /// path.
   size_t scheduleRounds = 96;
-  size_t maxScheduleFaults = 4;
-
-  /// Schedules tried against the broken writer before giving up on finding
-  /// a failing one to shrink.
-  size_t brokenSearchRounds = 400;
-
-  /// Run the deliberately-broken-writer falsification arm.
-  bool exploreBrokenWriter = true;
-
-  /// Violations kept with full detail (counts are always exact).
-  size_t maxViolationDetails = 32;
-};
-
-/// One invariant violation, with everything needed to replay it.
-struct CrashViolation {
-  std::string workload;
-  /// Syscall index of the scheduled power cut; -1 when the run was driven
-  /// by a fault schedule (or completed) instead.
-  int64_t crashAtOp = -1;
-  sim::FaultSchedule schedule;  // empty for pure crash-point runs
-  std::string persistMode;      // empty when the live state failed
-  uint64_t persistSeed = 0;
-  std::string detail;
-};
-
-struct WorkloadCrashStats {
-  std::string name;
-  uint64_t boundaries = 0;   // syscall boundaries enumerated (= runs)
-  uint64_t crashPoints = 0;  // boundary x persistence-variant recoveries
-  uint64_t violations = 0;
 };
 
 struct CrashEvalResult {
-  std::vector<WorkloadCrashStats> workloads;
+  /// Per workload; `points` counts the crash-point recoveries (boundary x
+  /// persistence variant).
+  std::vector<ExploreStats> workloads;
   uint64_t totalBoundaries = 0;
   uint64_t totalCrashPoints = 0;
   uint64_t totalViolations = 0;
-  std::vector<CrashViolation> violations;  // capped at maxViolationDetails
+  std::vector<Violation<sim::Fault>> violations;  // capped
 
   // Fault-schedule search over the fleet fan-out path.
   uint64_t scheduleRuns = 0;
@@ -115,15 +76,11 @@ struct CrashEvalResult {
   uint64_t scheduleChecks = 0;      // recovery checks performed
   uint64_t scheduleViolations = 0;
 
-  // Falsification arm (deliberately broken writer).
-  bool brokenWriterCaught = false;     // crash-point exploration flagged it
-  bool brokenScheduleFound = false;    // search found a failing schedule
-  uint64_t brokenScheduleFaults = 0;   // faults before shrinking
-  uint64_t brokenShrunkFaults = 0;     // faults after delta debugging
-  std::string brokenArtifactJson;      // minimal replayable artifact
+  /// Falsification arm (deliberately broken writer).
+  PlantedBug brokenWriter;
 
   /// Zero violations on the correct writers AND the planted bug was caught
-  /// and shrunk (when the arm is enabled).
+  /// and shrunk.
   bool pass = false;
 };
 
@@ -131,13 +88,5 @@ CrashEvalResult runCrashEval(const CrashExploreConfig& config);
 
 /// Full result as JSON (the BENCH_crash.json payload).
 std::string crashJson(const CrashEvalResult& result);
-
-/// Delta-debugging (ddmin) minimizer: returns a minimal sub-schedule for
-/// which `fails` still returns true (1-minimal: removing any single chunk
-/// at the final granularity makes it pass).  `fails(schedule)` must be
-/// deterministic; `schedule` itself is assumed failing.
-sim::FaultSchedule shrinkSchedule(
-    const sim::FaultSchedule& schedule,
-    const std::function<bool(const sim::FaultSchedule&)>& fails);
 
 }  // namespace tagspin::eval

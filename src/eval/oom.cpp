@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <numbers>
 #include <optional>
@@ -11,7 +12,6 @@
 #include "capture/digest.hpp"
 #include "capture/replay.hpp"
 #include "capture/writer.hpp"
-#include "eval/ddmin.hpp"
 #include "obs/export.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/checkpoint.hpp"
@@ -27,6 +27,21 @@ namespace {
 
 constexpr const char* kCheckpointDir = "ckpt";
 constexpr const char* kCapturePath = "oom.tspc";
+
+// Fixed sizes (see OomExploreConfig).  The fleet runs kFleetRevolutions
+// rig revolutions plus kSettleS, then kRecoverS of ticks after the
+// injector is disarmed -- the window the recovery invariants are measured
+// over.
+constexpr double kFleetRevolutions = 1.0;
+constexpr double kTickS = 0.1;
+constexpr double kSettleS = 3.0;
+constexpr double kRecoverS = 2.0;
+constexpr size_t kBrokenCacheOps = 64;
+constexpr double kPressureBudgetFactor = 1.25;
+
+constexpr sim::MemFaultKind kMemKinds[] = {
+    sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
+    sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
 
 std::string sessionName(size_t index) {
   char buf[24];
@@ -78,8 +93,8 @@ FleetFixture makeFleetFixture(const OomExploreConfig& config) {
   scenario.fixedChannel = true;
 
   const double period = 2.0 * std::numbers::pi / scenario.rigOmegaRadPerS;
-  fx.spanS = config.fleetRevolutions * period;
-  fx.endS = fx.spanS + config.settleS;
+  fx.spanS = kFleetRevolutions * period;
+  fx.endS = fx.spanS + kSettleS;
 
   // Connect storm: most of the fleet drops at the same instant mid-span
   // and reconnects together, with a flapper tail for the quarantine ring.
@@ -192,18 +207,16 @@ class FleetMemWorkload final : public MemWorkloadRun {
     }
     registered_ = fleet.sessionCount();
 
-    for (double t = 0.0; t <= fx_.endS + 1e-9; t += config_.tickS) {
+    for (double t = 0.0; t <= fx_.endS + 1e-9; t += kTickS) {
       fleet.tick(t);
     }
 
     // Pressure clears: disarm the injector and run the recovery window.
-    env.setFailAt(-1);
     env.setFaults({});
     env.clearPressure();
     denialsAtClear_ = env.denials();
-    const double recoverEndS = fx_.endS + config_.recoverS;
-    for (double t = fx_.endS + config_.tickS; t <= recoverEndS + 1e-9;
-         t += config_.tickS) {
+    const double recoverEndS = fx_.endS + kRecoverS;
+    for (double t = fx_.endS + kTickS; t <= recoverEndS + 1e-9; t += kTickS) {
       fleet.tick(t);
     }
     fleet.shutdown(recoverEndS);
@@ -365,7 +378,6 @@ class ReplayFanoutWorkload final : public MemWorkloadRun {
     }
     // Recovery: with the injector disarmed and pressure cleared, a fresh
     // stream must build (and release on destruction).
-    env.setFailAt(-1);
     env.setFaults({});
     env.clearPressure();
     {
@@ -473,7 +485,6 @@ class TrackerGhostBurstWorkload final : public MemWorkloadRun {
 
       // Recovery: pressure clears, then one more accepted fix must land a
       // history entry again.
-      env.setFailAt(-1);
       env.setFaults({});
       env.clearPressure();
       const size_t before = tracker.history().size();
@@ -544,40 +555,24 @@ class TrackerGhostBurstWorkload final : public MemWorkloadRun {
 // The planted bug: a shed cache that, on a denied reservation, "sheds" an
 // entry it never admitted -- release without reserve, the accounting
 // analog of a double-close.  Invisible on any fault-free run (reserves and
-// releases balance exactly); any schedule with one effective denial makes
-// the books over-release and the environment's underflow oracle fire.
+// releases balance exactly).  The ledgers can only see the over-release
+// when the cache holds nothing -- a denial at the first reservation, or
+// denials that outlast the blocks it holds -- and then the environment's
+// underflow oracle fires.
 
-class BrokenShedCacheWorkload final : public MemWorkloadRun {
- public:
-  explicit BrokenShedCacheWorkload(size_t ops) : ops_(ops) {}
-
-  static constexpr uint64_t kBlockBytes = 1024;
-
-  void run(sim::SimMemEnv& env) override {
-    core::MemArena arena(&env, 0, "broken.cache");
-    for (size_t i = 0; i < ops_; ++i) {
-      if (!arena.tryReserve(kBlockBytes)) {
-        // BUG: sheds a block that was never admitted.
-        arena.release(kBlockBytes);
-      }
+void brokenShedCache(sim::SimMemEnv& env) {
+  constexpr uint64_t kBlockBytes = 1024;
+  core::MemArena arena(&env, 0, "broken.cache");
+  for (size_t i = 0; i < kBrokenCacheOps; ++i) {
+    if (!arena.tryReserve(kBlockBytes)) {
+      // BUG: sheds a block that was never admitted.
+      arena.release(kBlockBytes);
     }
   }
-
-  std::optional<std::string> check(const sim::SimMemEnv&) const override {
-    return std::nullopt;  // the predicate is env.underflow(), inverted
-  }
-
- private:
-  size_t ops_;
-};
+}
 
 // ---------------------------------------------------------------------------
-// The explorer
-
-void keepDetail(std::vector<OomViolation>& details, size_t cap,
-                OomViolation violation) {
-  if (details.size() < cap) details.push_back(std::move(violation));
-}
+// The run path
 
 /// Environment-level oracle checks every injected run must pass, plus the
 /// recovery probe: with the injector disarmed and pressure cleared, a
@@ -587,14 +582,10 @@ std::optional<std::string> envOracles(sim::SimMemEnv& env) {
     return "accounting underflow: some caller released bytes it never "
            "reserved";
   }
-  if (env.budgetExceeded()) {
-    return "budget exceeded: some caller grew despite a denial";
-  }
   if (env.usedBytes() != 0) {
     return "leak: " + std::to_string(env.usedBytes()) +
            " bytes still reserved after teardown";
   }
-  env.setFailAt(-1);
   env.setFaults({});
   env.clearPressure();
   if (!env.tryReserve(4096)) {
@@ -604,101 +595,39 @@ std::optional<std::string> envOracles(sim::SimMemEnv& env) {
   return std::nullopt;
 }
 
-struct RunOutcome {
+/// One explored run: a fresh SimMemEnv armed with `schedule`, the
+/// workload, then the environment's oracles and the workload's checks.
+RunOutcome<sim::MemFault> runInjected(const std::string& name,
+                                      const MemWorkloadFactory& factory,
+                                      const sim::MemFaultSchedule& schedule) {
+  RunOutcome<sim::MemFault> out;
   std::optional<std::string> bad;
-  uint64_t denials = 0;
-};
-
-RunOutcome runInjected(const MemWorkloadFactory& factory,
-                       const sim::MemFaultSchedule& schedule) {
-  RunOutcome out;
   auto inst = factory();
   sim::SimMemEnv env;
   env.setFaults(schedule);
   try {
     inst->run(env);
   } catch (const std::exception& e) {
-    out.bad = std::string("uncaught exception crossed the workload: ") +
-              e.what();
+    bad = std::string("uncaught exception crossed the workload: ") + e.what();
   }
-  out.denials = env.denials();
-  if (!out.bad) out.bad = envOracles(env);
-  if (!out.bad) out.bad = inst->check(env);
+  out.ops = env.opCount();
+  out.fired = env.denials();
+  if (!bad) bad = envOracles(env);
+  if (!bad) bad = inst->check(env);
+  out.checks = 1;
+  if (bad) {
+    out.violations = 1;
+    out.first = Violation<sim::MemFault>{name, -1, schedule, "", 0, *bad};
+  }
   return out;
 }
 
-/// Probe fault-free to count reservation boundaries, then re-run with a
-/// single fault (kinds cycled) at stride-sampled reservation indices.
-WorkloadOomStats exploreWorkload(const std::string& name,
-                                 const MemWorkloadFactory& factory,
-                                 const OomExploreConfig& cfg,
-                                 std::vector<OomViolation>& details) {
-  WorkloadOomStats stats;
-  stats.name = name;
-
-  {
-    auto inst = factory();
-    sim::SimMemEnv env;
-    try {
-      inst->run(env);
-    } catch (const std::exception& e) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, std::string("baseline threw: ") + e.what()});
-    }
-    stats.boundaries = env.opCount();
-    if (auto bad = envOracles(env)) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, "baseline: " + *bad});
-    } else if (auto wbad = inst->check(env)) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, -1, {}, "baseline: " + *wbad});
-    }
-  }
-
-  static constexpr sim::MemFaultKind kKinds[] = {
-      sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
-      sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
-  const uint64_t span = std::max<uint64_t>(stats.boundaries, 1);
-  for (size_t p = 0; p < cfg.pointsPerWorkload; ++p) {
-    sim::MemFault fault;
-    fault.opIndex = (uint64_t(p) * span) / cfg.pointsPerWorkload;
-    fault.kind = kKinds[p % std::size(kKinds)];
-    fault.param = fault.kind == sim::MemFaultKind::kBurst ? 4 : 1;
-
-    const RunOutcome out = runInjected(factory, {fault});
-    ++stats.points;
-    stats.denials += out.denials;
-    if (out.bad) {
-      ++stats.violations;
-      keepDetail(details, cfg.maxViolationDetails,
-                 {name, int64_t(fault.opIndex), {fault}, *out.bad});
-    }
-  }
-  return stats;
-}
-
-sim::MemFaultSchedule randomMemSchedule(std::mt19937_64& rng, uint64_t maxOp,
-                                        size_t maxFaults) {
-  static constexpr sim::MemFaultKind kKinds[] = {
-      sim::MemFaultKind::kDeny, sim::MemFaultKind::kBurst,
-      sim::MemFaultKind::kCliff, sim::MemFaultKind::kPoison};
-  const size_t n = 1 + rng() % maxFaults;
-  sim::MemFaultSchedule schedule;
-  for (size_t i = 0; i < n; ++i) {
-    sim::MemFault f;
-    f.opIndex = rng() % maxOp;
-    f.kind = kKinds[rng() % std::size(kKinds)];
-    f.param = f.kind == sim::MemFaultKind::kBurst ? 2 + rng() % 5 : 1;
-    schedule.push_back(f);
-  }
-  std::sort(schedule.begin(), schedule.end(),
-            [](const sim::MemFault& a, const sim::MemFault& b) {
-              return a.opIndex < b.opIndex;
-            });
-  return schedule;
+sim::MemFault drawMemFault(std::mt19937_64& rng, uint64_t op) {
+  sim::MemFault f;
+  f.opIndex = op;
+  f.kind = kMemKinds[rng() % std::size(kMemKinds)];
+  f.param = f.kind == sim::MemFaultKind::kBurst ? 2 + rng() % 5 : 1;
+  return f;
 }
 
 // ---------------------------------------------------------------------------
@@ -718,43 +647,50 @@ std::string memScheduleJson(const sim::MemFaultSchedule& schedule) {
 
 }  // namespace
 
-sim::MemFaultSchedule shrinkMemSchedule(
-    const sim::MemFaultSchedule& schedule,
-    const std::function<bool(const sim::MemFaultSchedule&)>& fails) {
-  return ddminShrink(schedule, fails);
-}
-
 OomEvalResult runOomEval(const OomExploreConfig& config) {
   OomEvalResult result;
   const FleetFixture fx = makeFleetFixture(config);
 
-  const MemWorkloadFactory fleetSteadyF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(config, fx, FleetMode::kSteady,
-                                              /*attachMem=*/true);
+  const auto fleetF = [&config, &fx](FleetMode mode) -> MemWorkloadFactory {
+    return [&config, &fx, mode] {
+      return std::make_unique<FleetMemWorkload>(config, fx, mode,
+                                                /*attachMem=*/true);
+    };
   };
-  const MemWorkloadFactory connectStormF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(
-        config, fx, FleetMode::kConnectStorm, /*attachMem=*/true);
-  };
-  const MemWorkloadFactory checkpointF = [&config, &fx] {
-    return std::make_unique<FleetMemWorkload>(
-        config, fx, FleetMode::kCheckpointSave, /*attachMem=*/true);
-  };
-  const MemWorkloadFactory replayF = [&config] {
-    return std::make_unique<ReplayFanoutWorkload>(config);
-  };
-  const MemWorkloadFactory trackerF = [&config] {
-    return std::make_unique<TrackerGhostBurstWorkload>(config);
+  const std::pair<const char*, MemWorkloadFactory> workloads[] = {
+      {"fleet_steady", fleetF(FleetMode::kSteady)},
+      {"connect_storm", fleetF(FleetMode::kConnectStorm)},
+      {"replay_fanout",
+       [&config] { return std::make_unique<ReplayFanoutWorkload>(config); }},
+      {"tracker_ghost_burst",
+       [&config] {
+         return std::make_unique<TrackerGhostBurstWorkload>(config);
+       }},
+      {"checkpoint_save", fleetF(FleetMode::kCheckpointSave)},
   };
 
-  const std::pair<const char*, const MemWorkloadFactory*> workloads[] = {
-      {"fleet_steady", &fleetSteadyF},   {"connect_storm", &connectStormF},
-      {"replay_fanout", &replayF},       {"tracker_ghost_burst", &trackerF},
-      {"checkpoint_save", &checkpointF},
+  // Stride-sampled single faults over the probe run's reservations, the
+  // kinds cycled.
+  const auto sampledFaults = [&config](uint64_t boundaries) {
+    const uint64_t span = std::max<uint64_t>(boundaries, 1);
+    sim::MemFaultSchedule faults;
+    for (size_t p = 0; p < config.pointsPerWorkload; ++p) {
+      sim::MemFault fault;
+      fault.opIndex = (uint64_t(p) * span) / config.pointsPerWorkload;
+      fault.kind = kMemKinds[p % std::size(kMemKinds)];
+      fault.param = fault.kind == sim::MemFaultKind::kBurst ? 4 : 1;
+      faults.push_back(fault);
+    }
+    return faults;
   };
+
   for (const auto& [name, factory] : workloads) {
-    const WorkloadOomStats ws =
-        exploreWorkload(name, *factory, config, result.violations);
+    const ExploreStats ws = exploreWorkload(
+        name,
+        [&](const sim::MemFaultSchedule& schedule) {
+          return runInjected(name, factory, schedule);
+        },
+        sampledFaults, result.violations);
     result.totalBoundaries += ws.boundaries;
     result.totalPoints += ws.points;
     result.totalViolations += ws.violations;
@@ -762,30 +698,27 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
   }
 
   // Arm 2: seeded multi-fault schedules against the fleet steady-state
-  // path (the workload with the richest shedding ladder).
+  // path (workloads[0], the workload with the richest shedding ladder).
   {
     auto rng = sim::makeRng(sim::deriveSeed(config.seed, 0x5EA));
-    const uint64_t span = std::max<uint64_t>(
-        result.workloads.empty() ? 1 : result.workloads[0].boundaries, 1);
+    const uint64_t span =
+        std::max<uint64_t>(result.workloads.front().boundaries, 1);
     for (size_t r = 0; r < config.scheduleRounds; ++r) {
       const sim::MemFaultSchedule schedule =
-          randomMemSchedule(rng, span, config.maxScheduleFaults);
-      const RunOutcome out = runInjected(fleetSteadyF, schedule);
+          randomSchedule<sim::MemFault>(rng, span, drawMemFault);
+      const RunOutcome<sim::MemFault> out =
+          runInjected("fleet_steady/schedule", workloads[0].second, schedule);
       ++result.scheduleRuns;
-      result.scheduleDenials += out.denials;
-      if (out.bad) {
-        ++result.scheduleViolations;
-        keepDetail(result.violations, config.maxViolationDetails,
-                   {"fleet_steady/schedule", -1, schedule, *out.bad});
-      }
+      result.scheduleDenials += out.fired;
+      result.scheduleViolations += out.violations;
+      if (out.first) keepViolation(result.violations, *out.first);
     }
     result.totalViolations += result.scheduleViolations;
   }
 
   // Parity gate: the seam itself must cost nothing.  Accounting off vs a
   // fault-free SimMemEnv attached -- fix streams bit-identical.
-  if (config.runParityGate) {
-    result.parityChecked = true;
+  {
     FleetMemWorkload off(config, fx, FleetMode::kSteady,
                          /*attachMem=*/false);
     sim::SimMemEnv offEnv;
@@ -801,8 +734,7 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
   // Pressure arm: shard budgets from a probe run's per-shard peak, scaled
   // so the fleet ends around 1/factor (~80%) utilization -- inside the
   // mem-degraded band, trimming but never losing sessions.
-  if (config.runPressureArm) {
-    result.pressureChecked = true;
+  {
     FleetMemWorkload probe(config, fx, FleetMode::kSteady,
                            /*attachMem=*/true);
     sim::SimMemEnv probeEnv;
@@ -810,8 +742,8 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
     const uint64_t perShardPeak = std::max<uint64_t>(
         probe.stats().memPeakBytes / std::max<size_t>(config.fleetShards, 1),
         1);
-    const uint64_t budget = uint64_t(
-        config.pressureBudgetFactor * static_cast<double>(perShardPeak));
+    const uint64_t budget = uint64_t(kPressureBudgetFactor *
+                                     static_cast<double>(perShardPeak));
     result.pressureShardBudgetBytes = budget;
 
     FleetMemWorkload pressured(config, fx, FleetMode::kSteady,
@@ -825,70 +757,40 @@ OomEvalResult runOomEval(const OomExploreConfig& config) {
     result.pressureUtilization =
         static_cast<double>(pressured.stats().memPeakBytes) /
         static_cast<double>(budget * config.fleetShards);
-    result.pressureRecovered =
-        env.usedBytes() == 0 && !env.underflow() && !env.budgetExceeded();
+    result.pressureRecovered = env.usedBytes() == 0 && !env.underflow();
   }
 
-  // Arm 3: the falsification proof.
-  if (config.exploreBrokenCache) {
-    const MemWorkloadFactory brokenF = [&config] {
-      return std::make_unique<BrokenShedCacheWorkload>(config.brokenCacheOps);
-    };
-    // Exploration must catch it: a single deny anywhere in range makes the
-    // cache over-release and the underflow oracle fire at teardown.
-    for (size_t k = 0; k < config.brokenCacheOps &&
-                       !result.brokenCacheCaught;
-         k += std::max<size_t>(config.brokenCacheOps / 16, 1)) {
-      auto inst = brokenF();
-      sim::SimMemEnv env;
-      env.setFailAt(int64_t(k));
-      inst->run(env);
-      if (env.underflow()) result.brokenCacheCaught = true;
+  // Arm 3: the falsification proof.  A single deny anywhere in range makes
+  // the cache over-release and the underflow oracle fire at teardown.
+  {
+    sim::MemFaultSchedule sweep;
+    for (uint64_t k = 0; k < kBrokenCacheOps; k += kBrokenCacheOps / 16) {
+      sweep.push_back({k, sim::MemFaultKind::kDeny, 1});
     }
-
-    const auto fails = [&brokenF](const sim::MemFaultSchedule& schedule) {
-      auto inst = brokenF();
-      sim::SimMemEnv env;
-      env.setFaults(schedule);
-      inst->run(env);
-      return env.underflow();
-    };
-    auto rng = sim::makeRng(sim::deriveSeed(config.seed, 0xB0B));
-    sim::MemFaultSchedule failing;
-    for (size_t r = 0; r < config.brokenSearchRounds && failing.empty();
-         ++r) {
-      const sim::MemFaultSchedule candidate = randomMemSchedule(
-          rng, std::max<uint64_t>(config.brokenCacheOps, 1),
-          config.maxScheduleFaults);
-      if (fails(candidate)) failing = candidate;
-    }
-    if (!failing.empty()) {
-      result.brokenScheduleFound = true;
-      result.brokenScheduleFaults = failing.size();
-      const sim::MemFaultSchedule shrunk = shrinkMemSchedule(failing, fails);
-      result.brokenShrunkFaults = shrunk.size();
-      std::ostringstream artifact;
-      artifact << "{\"workload\": \"broken_shed_cache\", \"ops\": "
-               << config.brokenCacheOps
-               << ", \"schedule\": " << memScheduleJson(shrunk)
-               << ", \"detail\": \"accounting underflow: release without "
-                  "reserve\"}";
-      result.brokenArtifactJson = artifact.str();
-    }
+    result.brokenCache = falsify(
+        sweep, sim::makeRng(sim::deriveSeed(config.seed, 0xB0B)),
+        kBrokenCacheOps, drawMemFault,
+        [](const sim::MemFaultSchedule& schedule) {
+          sim::SimMemEnv env;
+          env.setFaults(schedule);
+          brokenShedCache(env);
+          return env.underflow();
+        },
+        [](const sim::MemFaultSchedule& shrunk) {
+          std::ostringstream artifact;
+          artifact << "{\"workload\": \"broken_shed_cache\", \"ops\": "
+                   << kBrokenCacheOps
+                   << ", \"schedule\": " << memScheduleJson(shrunk)
+                   << ", \"detail\": \"accounting underflow: release without "
+                      "reserve\"}";
+          return artifact.str();
+        });
   }
 
-  const bool brokenOk =
-      !config.exploreBrokenCache ||
-      (result.brokenCacheCaught && result.brokenScheduleFound &&
-       result.brokenShrunkFaults >= 1 &&
-       result.brokenShrunkFaults <= result.brokenScheduleFaults);
-  const bool parityOk = !config.runParityGate || result.parityBitIdentical;
-  const bool pressureOk =
-      !config.runPressureArm ||
-      (result.pressureFixRate >= config.pressureMinFixRate &&
-       result.pressureRecovered);
-  result.pass =
-      result.totalViolations == 0 && brokenOk && parityOk && pressureOk;
+  result.pass = result.totalViolations == 0 && result.brokenCache.ok() &&
+                result.parityBitIdentical &&
+                result.pressureFixRate >= kPressureMinFixRate &&
+                result.pressureRecovered;
   return result;
 }
 
@@ -896,10 +798,10 @@ std::string oomJson(const OomEvalResult& result) {
   std::ostringstream out;
   out << "{\n  \"workloads\": [\n";
   for (size_t i = 0; i < result.workloads.size(); ++i) {
-    const WorkloadOomStats& w = result.workloads[i];
+    const ExploreStats& w = result.workloads[i];
     out << "    {\"name\": \"" << obs::jsonEscape(w.name)
         << "\", \"boundaries\": " << w.boundaries
-        << ", \"points\": " << w.points << ", \"denials\": " << w.denials
+        << ", \"points\": " << w.points << ", \"denials\": " << w.fired
         << ", \"violations\": " << w.violations << '}'
         << (i + 1 < result.workloads.size() ? "," : "") << '\n';
   }
@@ -910,14 +812,12 @@ std::string oomJson(const OomEvalResult& result) {
   out << "  \"schedule_search\": {\"runs\": " << result.scheduleRuns
       << ", \"denials\": " << result.scheduleDenials
       << ", \"violations\": " << result.scheduleViolations << "},\n";
-  out << "  \"parity\": {\"checked\": "
-      << (result.parityChecked ? "true" : "false") << ", \"bit_identical\": "
+  out << "  \"parity\": {\"checked\": true, \"bit_identical\": "
       << (result.parityBitIdentical ? "true" : "false")
       << ", \"baseline_digest\": \"" << result.parityBaselineDigest
       << "\", \"seam_digest\": \"" << result.paritySeamDigest << "\"},\n";
-  out << "  \"pressure\": {\"checked\": "
-      << (result.pressureChecked ? "true" : "false")
-      << ", \"fix_rate\": " << result.pressureFixRate
+  out << "  \"pressure\": {\"checked\": true, \"fix_rate\": "
+      << result.pressureFixRate
       << ", \"utilization\": " << result.pressureUtilization
       << ", \"shard_budget_bytes\": " << result.pressureShardBudgetBytes
       << ", \"trims\": " << result.pressureTrims
@@ -925,21 +825,12 @@ std::string oomJson(const OomEvalResult& result) {
       << ", \"denied_reserves\": " << result.pressureDeniedReserves
       << ", \"recovered\": " << (result.pressureRecovered ? "true" : "false")
       << "},\n";
-  out << "  \"broken_cache\": {\"caught\": "
-      << (result.brokenCacheCaught ? "true" : "false")
-      << ", \"schedule_found\": "
-      << (result.brokenScheduleFound ? "true" : "false")
-      << ", \"schedule_faults\": " << result.brokenScheduleFaults
-      << ", \"shrunk_faults\": " << result.brokenShrunkFaults
-      << ", \"artifact\": "
-      << (result.brokenArtifactJson.empty() ? "null"
-                                            : result.brokenArtifactJson)
-      << "},\n";
+  out << "  \"broken_cache\": " << result.brokenCache.json() << ",\n";
   out << "  \"violations\": [\n";
   for (size_t i = 0; i < result.violations.size(); ++i) {
-    const OomViolation& v = result.violations[i];
+    const Violation<sim::MemFault>& v = result.violations[i];
     out << "    {\"workload\": \"" << obs::jsonEscape(v.workload)
-        << "\", \"fail_at_op\": " << v.failAtOp
+        << "\", \"fail_at_op\": " << v.atOp
         << ", \"schedule\": " << memScheduleJson(v.schedule)
         << ", \"detail\": \"" << obs::jsonEscape(v.detail) << "\"}"
         << (i + 1 < result.violations.size() ? "," : "") << '\n';

@@ -13,12 +13,12 @@
 //     After every injected run the environment's oracles and the
 //     workload's own invariants are checked: no exception crossed the
 //     workload boundary, accounting returned to zero (no leak), no
-//     caller released bytes it never reserved (underflow) or grew past a
-//     denial (budgetExceeded), the failure stayed isolated (sessions
-//     quarantined <= denials injected; refused replay streams <= denials;
-//     every other session/stream kept working), and once the injector is
-//     disarmed and pressure cleared, reservations succeed again (full
-//     recovery).
+//     caller released bytes it never reserved (underflow), the failure
+//     stayed isolated (sessions quarantined <= denials injected; refused
+//     replay streams <= denials; every other session/stream kept
+//     working), and once the injector is disarmed and pressure cleared,
+//     reservations succeed again (full recovery).  Budgets need no check
+//     of their own: core::MemArena enforces them when it grants.
 //
 //  2. Seeded fault-schedule search.  Random multi-fault schedules are
 //     thrown at the fleet steady-state path and checked against the same
@@ -33,6 +33,10 @@
 //     replayable artifact.  A harness that cannot flag a planted bug
 //     proves nothing by passing.
 //
+// All three run through one path (eval/explore.hpp): a fault-free probe,
+// a sampled point and a searched schedule are each one run of a fresh
+// SimMemEnv armed with a schedule.
+//
 // Two paired gates ride along: the PARITY gate runs the fleet once with
 // memory accounting off and once with a fault-free SimMemEnv attached and
 // requires bit-identical fix digests (the seam itself must cost nothing);
@@ -42,28 +46,29 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "eval/explore.hpp"
 #include "sim/mem_sim.hpp"
 
 namespace tagspin::eval {
 
+/// The pressure arm's gate: the share of sessions that must end with a fix.
+inline constexpr double kPressureMinFixRate = 0.99;
+
+/// The fleet runs one revolution plus 3 s to settle and 2 s to recover at
+/// 0.1 s ticks; the planted bug's cache makes 64 reservations; the
+/// pressure arm's shard budget is 1.25x the probe run's per-shard peak
+/// (~80% end-state utilization).
 struct OomExploreConfig {
   uint64_t seed = 0x00A11C47ULL;
 
   /// Fleet-driven workloads (steady state, connect storm, checkpoint
-  /// save): sessions, fault domains, and capture geometry.  Kept small --
-  /// every sampled failure point replays the whole run.
+  /// save): sessions and fault domains.  Kept small -- every sampled
+  /// failure point replays the whole run.
   size_t fleetSessions = 6;
   size_t fleetShards = 2;
-  double fleetRevolutions = 1.0;
-  double tickS = 0.1;
-  double settleS = 3.0;
-  /// Ticks appended after the injector is disarmed mid-run -- the window
-  /// the recovery invariants are measured over.
-  double recoverS = 2.0;
 
   /// Replay fan-out workload: sessions sharing one capture, reports in it.
   size_t replaySessions = 8;
@@ -81,51 +86,16 @@ struct OomExploreConfig {
 
   /// Seeded fault-schedule search over the fleet steady-state path.
   size_t scheduleRounds = 24;
-  size_t maxScheduleFaults = 4;
-
-  /// Run the planted release-without-reserve falsification arm.
-  bool exploreBrokenCache = true;
-  size_t brokenCacheOps = 64;
-  size_t brokenSearchRounds = 200;
-
-  /// Run the zero-injection parity gate (accounting off vs attached).
-  bool runParityGate = true;
-
-  /// Run the sustained-pressure arm: shard budgets sized to
-  /// pressureBudgetFactor x the probe run's per-shard peak (1.25 => ~80%
-  /// end-state utilization), fix rate must stay >= pressureMinFixRate.
-  bool runPressureArm = true;
-  double pressureBudgetFactor = 1.25;
-  double pressureMinFixRate = 0.99;
-
-  /// Violations kept with full detail (counts are always exact).
-  size_t maxViolationDetails = 32;
-};
-
-/// One invariant violation, with everything needed to replay it.
-struct OomViolation {
-  std::string workload;
-  /// Reservation index of the injected fault; -1 for schedule-driven or
-  /// fault-free runs.
-  int64_t failAtOp = -1;
-  sim::MemFaultSchedule schedule;  // empty for fault-free runs
-  std::string detail;
-};
-
-struct WorkloadOomStats {
-  std::string name;
-  uint64_t boundaries = 0;  // reservation boundaries in the probe run
-  uint64_t points = 0;      // injected runs explored
-  uint64_t denials = 0;     // total denials injected across the points
-  uint64_t violations = 0;
 };
 
 struct OomEvalResult {
-  std::vector<WorkloadOomStats> workloads;
+  /// Per workload; `points` counts the injected runs and `fired` the
+  /// reservations they denied.
+  std::vector<ExploreStats> workloads;
   uint64_t totalBoundaries = 0;
   uint64_t totalPoints = 0;
   uint64_t totalViolations = 0;
-  std::vector<OomViolation> violations;  // capped at maxViolationDetails
+  std::vector<Violation<sim::MemFault>> violations;  // capped
 
   // Fault-schedule search over the fleet steady-state path.
   uint64_t scheduleRuns = 0;
@@ -133,13 +103,11 @@ struct OomEvalResult {
   uint64_t scheduleViolations = 0;
 
   // Zero-injection parity gate.
-  bool parityChecked = false;
   bool parityBitIdentical = false;
   std::string parityBaselineDigest;  // accounting off
   std::string paritySeamDigest;      // SimMemEnv attached, no faults
 
   // Sustained-pressure arm.
-  bool pressureChecked = false;
   double pressureFixRate = 0.0;
   double pressureUtilization = 0.0;  // peak / (shards * budget)
   uint64_t pressureShardBudgetBytes = 0;
@@ -148,16 +116,12 @@ struct OomEvalResult {
   uint64_t pressureDeniedReserves = 0;
   bool pressureRecovered = false;  // accounting returned to zero after
 
-  // Falsification arm (planted release-without-reserve cache).
-  bool brokenCacheCaught = false;    // exploration flagged the underflow
-  bool brokenScheduleFound = false;  // search found a failing schedule
-  uint64_t brokenScheduleFaults = 0;
-  uint64_t brokenShrunkFaults = 0;  // after delta debugging
-  std::string brokenArtifactJson;   // minimal replayable artifact
+  /// Falsification arm (planted release-without-reserve cache).
+  PlantedBug brokenCache;
 
   /// Zero violations on the correct components, parity bit-identical,
   /// pressure arm kept its fix rate, AND the planted bug was caught and
-  /// shrunk (for every arm that is enabled).
+  /// shrunk.
   bool pass = false;
 };
 
@@ -165,10 +129,5 @@ OomEvalResult runOomEval(const OomExploreConfig& config);
 
 /// Full result as JSON (the BENCH_oom.json payload).
 std::string oomJson(const OomEvalResult& result);
-
-/// ddmin (eval/ddmin.hpp) specialization for memory-fault schedules.
-sim::MemFaultSchedule shrinkMemSchedule(
-    const sim::MemFaultSchedule& schedule,
-    const std::function<bool(const sim::MemFaultSchedule&)>& fails);
 
 }  // namespace tagspin::eval

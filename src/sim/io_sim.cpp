@@ -44,10 +44,6 @@ SimIoEnv::SimIoEnv(const DiskImage& image) {
 
 bool SimIoEnv::tick(FaultKind* fault) {
   const uint64_t op = ops_++;
-  if (crashAtOp_ >= 0 && op == static_cast<uint64_t>(crashAtOp_)) {
-    crashed_ = true;
-    throw SimCrash{};
-  }
   for (const Fault& f : faults_) {
     if (f.opIndex == op) {
       if (f.kind == FaultKind::kCrash) {

@@ -92,9 +92,9 @@ class SimIoEnv final : public core::IoEnv {
   /// empty journal (how the explorer hands a crash image to recovery).
   explicit SimIoEnv(const DiskImage& image);
 
+  /// Inject faults by syscall index (the only way to inject one); a power
+  /// cut at op k is the fault {k, kCrash}.
   void setFaults(FaultSchedule schedule) { faults_ = std::move(schedule); }
-  /// Power cut when the op counter reaches `op` (-1 disables).
-  void setCrashAtOp(int64_t op) { crashAtOp_ = op; }
   /// Seed for the intra-fault randomness (kFsyncFailPartial subsets).
   void setFaultSeed(uint64_t seed) { faultSeed_ = seed; }
 
@@ -146,8 +146,8 @@ class SimIoEnv final : public core::IoEnv {
     int fileId = -1;
   };
 
-  /// Count the op, fire a scheduled crash, and report any scheduled fault.
-  /// Returns the fault kind for this op index or FaultKind-free sentinel.
+  /// Count the op, fire a scheduled power cut, and report any other
+  /// scheduled fault in `*fault`; false when none fires at this op.
   bool tick(FaultKind* fault);
   File& fileAt(int fileId) { return files_.at(fileId); }
   static void applyPending(std::vector<uint8_t>& content, const PendingOp& op,
@@ -161,7 +161,6 @@ class SimIoEnv final : public core::IoEnv {
   int nextFd_ = 3;
   int nextFileId_ = 1;
   uint64_t ops_ = 0;
-  int64_t crashAtOp_ = -1;
   bool crashed_ = false;
   FaultSchedule faults_;
   uint64_t faultsInjected_ = 0;

@@ -42,20 +42,11 @@ bool SimMemEnv::tryReserve(uint64_t bytes) {
   const uint64_t op = ops_++;
 
   bool deny = false;
-  if (failAt_ >= 0 && op == uint64_t(failAt_)) {
-    deny = true;
-    ++faultsInjected_;
-  }
-  if (everyNth_ >= 2 && op > 0 && op % everyNth_ == 0) {
-    deny = true;
-    ++faultsInjected_;
-  }
   // Scheduled faults: fire every fault whose index is this op.  kDeny
   // denies just this reservation; the stateful kinds arm standing pressure
   // that `pressureDenies` applies from this op onward.
   for (const MemFault& f : faults_) {
     if (f.opIndex != op) continue;
-    ++faultsInjected_;
     switch (f.kind) {
       case MemFaultKind::kDeny:
         deny = true;
@@ -73,7 +64,6 @@ bool SimMemEnv::tryReserve(uint64_t bytes) {
     }
   }
   if (pressureDenies(bytes)) deny = true;
-  if (!deny && budget_ > 0 && used_ + bytes > budget_) deny = true;
 
   if (deny) {
     ++denials_;
@@ -82,7 +72,6 @@ bool SimMemEnv::tryReserve(uint64_t bytes) {
   used_ += bytes;
   peak_ = std::max(peak_, used_);
   ++grants_;
-  if (budget_ > 0 && used_ > budget_) budgetExceeded_ = true;
   return true;
 }
 
@@ -101,7 +90,6 @@ core::MemEnvStats SimMemEnv::stats() const {
   s.denials = denials_;
   s.usedBytes = used_;
   s.peakBytes = peak_;
-  s.budgetBytes = budget_;
   return s;
 }
 

@@ -21,10 +21,10 @@
 //
 // `clearPressure()` ends cliff/poison/burst -- the "pressure clears" edge
 // the recovery invariants are checked against.  The environment also
-// carries two oracle flags the explorer asserts after every run:
+// carries the oracle flag the explorer asserts after every run:
 // `underflow()` (some caller released bytes it never reserved -- the
-// accounting analog of a double-close) and `budgetExceeded()` (usage grew
-// past the configured budget, i.e. a caller ignored a denial).
+// accounting analog of a double-close).  The environment enforces no
+// budget of its own; core::MemArena enforces budgets when it grants.
 //
 // Deliberately not thread-safe, exactly like SimIoEnv: the explorer runs
 // workloads with inline (single-threaded) shard processing so op indices
@@ -61,19 +61,9 @@ class SimMemEnv final : public core::MemEnv {
  public:
   SimMemEnv() = default;
 
-  /// Inject faults by reservation index.  Unsorted input is fine.
+  /// Inject faults by reservation index (the only way to inject one).
+  /// Unsorted input is fine.
   void setFaults(MemFaultSchedule faults);
-
-  /// Deny exactly the reservation with this op index (and nothing else);
-  /// < 0 disables.  The single-point exploration knob, mirroring
-  /// SimIoEnv::setCrashAtOp.
-  void setFailAt(int64_t opIndex) { failAt_ = opIndex; }
-
-  /// Deny every Nth reservation (n >= 2); 0 disables.
-  void setEveryNth(uint64_t n) { everyNth_ = n; }
-
-  /// Byte budget enforced by the environment itself; 0 = unlimited.
-  void setBudget(uint64_t bytes) { budget_ = bytes; }
 
   /// End all standing pressure (burst remainder, cliff, poison).
   void clearPressure();
@@ -86,30 +76,22 @@ class SimMemEnv final : public core::MemEnv {
   /// SimIoEnv::opCount().
   uint64_t opCount() const { return ops_; }
   uint64_t denials() const { return denials_; }
-  uint64_t faultsInjected() const { return faultsInjected_; }
   uint64_t usedBytes() const { return used_; }
   uint64_t peakBytes() const { return peak_; }
 
   /// Oracle: some caller released bytes it never reserved.
   bool underflow() const { return underflow_; }
-  /// Oracle: usage ever exceeded the configured budget (a caller grew
-  /// despite a denial).  Never fires when no budget is set.
-  bool budgetExceeded() const { return budgetExceeded_; }
 
  private:
   bool pressureDenies(uint64_t bytes);
 
   MemFaultSchedule faults_;
-  int64_t failAt_ = -1;
-  uint64_t everyNth_ = 0;
-  uint64_t budget_ = 0;
 
   uint64_t ops_ = 0;
   uint64_t used_ = 0;
   uint64_t peak_ = 0;
   uint64_t denials_ = 0;
   uint64_t grants_ = 0;
-  uint64_t faultsInjected_ = 0;
 
   uint64_t burstRemaining_ = 0;
   bool poisoned_ = false;
@@ -117,7 +99,6 @@ class SimMemEnv final : public core::MemEnv {
   uint64_t cliffBudget_ = 0;
 
   bool underflow_ = false;
-  bool budgetExceeded_ = false;
 };
 
 }  // namespace tagspin::sim

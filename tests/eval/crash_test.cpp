@@ -2,66 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 namespace tagspin::eval {
 namespace {
 
-sim::FaultSchedule schedule(std::initializer_list<uint64_t> ops,
-                            sim::FaultKind kind = sim::FaultKind::kEio) {
-  sim::FaultSchedule s;
-  for (uint64_t op : ops) s.push_back({op, kind});
-  return s;
-}
-
-TEST(ShrinkSchedule, ReducesToTheSingleCulpritFault) {
-  // Only the fault at op 7 matters.
-  const auto fails = [](const sim::FaultSchedule& s) {
-    return std::any_of(s.begin(), s.end(),
-                       [](const sim::Fault& f) { return f.opIndex == 7; });
-  };
-  const sim::FaultSchedule shrunk =
-      shrinkSchedule(schedule({1, 3, 7, 9, 12, 20, 31, 44}), fails);
-  ASSERT_EQ(shrunk.size(), 1u);
-  EXPECT_EQ(shrunk[0].opIndex, 7u);
-}
-
-TEST(ShrinkSchedule, KeepsAConjunctionOfTwoFaults) {
-  // Failure needs BOTH op 2 and op 9 (an ordering bug armed by one fault
-  // and fired by another).
-  const auto fails = [](const sim::FaultSchedule& s) {
-    const auto has = [&s](uint64_t op) {
-      return std::any_of(s.begin(), s.end(),
-                         [op](const sim::Fault& f) { return f.opIndex == op; });
-    };
-    return has(2) && has(9);
-  };
-  const sim::FaultSchedule shrunk =
-      shrinkSchedule(schedule({0, 2, 4, 6, 9, 11, 13, 15}), fails);
-  ASSERT_EQ(shrunk.size(), 2u);
-  EXPECT_EQ(shrunk[0].opIndex, 2u);
-  EXPECT_EQ(shrunk[1].opIndex, 9u);
-  EXPECT_TRUE(fails(shrunk));
-}
-
-TEST(ShrinkSchedule, AlreadyMinimalScheduleIsReturnedVerbatim) {
-  const auto fails = [](const sim::FaultSchedule& s) { return !s.empty(); };
-  const sim::FaultSchedule one = schedule({5});
-  const sim::FaultSchedule shrunk = shrinkSchedule(one, fails);
-  ASSERT_EQ(shrunk.size(), 1u);
-  EXPECT_EQ(shrunk[0].opIndex, 5u);
-}
-
 TEST(CrashEval, SmallExplorationHoldsEveryInvariant) {
   CrashExploreConfig cfg;
-  cfg.checkpointSaves = 3;
   cfg.captureReports = 24;
-  cfg.reopenExtraReports = 4;
-  cfg.fleetShards = 2;
-  cfg.fleetRounds = 2;
-  cfg.persistSeeds = 2;
   cfg.scheduleRounds = 16;
-  cfg.exploreBrokenWriter = false;
 
   const CrashEvalResult r = runCrashEval(cfg);
   EXPECT_EQ(r.workloads.size(), 5u);
@@ -80,24 +27,20 @@ TEST(CrashEval, SmallExplorationHoldsEveryInvariant) {
 
 TEST(CrashEval, PlantedFsyncOrderingBugIsCaughtAndShrunk) {
   CrashExploreConfig cfg;
-  // Keep the correct-writer arms tiny: this test is about the broken one.
-  cfg.checkpointSaves = 1;
+  // Keep the correct-writer arms small: this test is about the broken one.
   cfg.captureReports = 8;
-  cfg.reopenExtraReports = 2;
-  cfg.fleetShards = 1;
-  cfg.fleetRounds = 1;
-  cfg.persistSeeds = 2;
   cfg.scheduleRounds = 4;
-  cfg.exploreBrokenWriter = true;
 
   const CrashEvalResult r = runCrashEval(cfg);
-  EXPECT_TRUE(r.brokenWriterCaught);
-  ASSERT_TRUE(r.brokenScheduleFound);
-  EXPECT_GE(r.brokenShrunkFaults, 1u);
-  EXPECT_LE(r.brokenShrunkFaults, r.brokenScheduleFaults);
+  const PlantedBug& bug = r.brokenWriter;
+  EXPECT_TRUE(bug.caught);
+  ASSERT_TRUE(bug.scheduleFound);
+  EXPECT_GE(bug.shrunkFaults, 1u);
+  EXPECT_LE(bug.shrunkFaults, bug.scheduleFaults);
+  EXPECT_TRUE(bug.ok());
   // The artifact is a self-contained replay recipe.
-  EXPECT_NE(r.brokenArtifactJson.find("\"schedule\""), std::string::npos);
-  EXPECT_NE(r.brokenArtifactJson.find("\"fault_seed\""), std::string::npos);
+  EXPECT_NE(bug.artifactJson.find("\"schedule\""), std::string::npos);
+  EXPECT_NE(bug.artifactJson.find("\"fault_seed\""), std::string::npos);
   // The planted bug does not poison the correct writers' tally.
   EXPECT_EQ(r.totalViolations, 0u)
       << (r.violations.empty() ? "" : r.violations[0].detail);
@@ -106,12 +49,7 @@ TEST(CrashEval, PlantedFsyncOrderingBugIsCaughtAndShrunk) {
 
 TEST(CrashEval, ResultsAreDeterministicPerSeed) {
   CrashExploreConfig cfg;
-  cfg.checkpointSaves = 2;
   cfg.captureReports = 16;
-  cfg.reopenExtraReports = 2;
-  cfg.fleetShards = 1;
-  cfg.fleetRounds = 2;
-  cfg.persistSeeds = 2;
   cfg.scheduleRounds = 8;
   cfg.seed = 1234;
 

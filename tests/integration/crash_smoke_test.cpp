@@ -12,22 +12,16 @@ namespace {
 
 TEST(CrashSmoke, ExplorationSearchAndFalsificationAllPass) {
   CrashExploreConfig cfg;
-  cfg.checkpointSaves = 4;
   cfg.captureReports = 48;
-  cfg.reopenExtraReports = 6;
-  cfg.fleetShards = 2;
-  cfg.fleetRounds = 3;
-  cfg.persistSeeds = 3;
   cfg.scheduleRounds = 32;
-  cfg.brokenSearchRounds = 200;
 
   const CrashEvalResult r = runCrashEval(cfg);
 
   // Every workload explored, every syscall boundary power-cut.
   ASSERT_EQ(r.workloads.size(), 5u);
-  for (const WorkloadCrashStats& w : r.workloads) {
+  for (const ExploreStats& w : r.workloads) {
     EXPECT_GT(w.boundaries, 0u) << w.name;
-    EXPECT_GT(w.crashPoints, 0u) << w.name;
+    EXPECT_GT(w.points, 0u) << w.name;
     EXPECT_EQ(w.violations, 0u) << w.name;
   }
   EXPECT_GE(r.totalCrashPoints, 500u);
@@ -41,10 +35,10 @@ TEST(CrashSmoke, ExplorationSearchAndFalsificationAllPass) {
   EXPECT_EQ(r.scheduleViolations, 0u);
 
   // The harness catches the planted bug and shrinks a failing schedule.
-  EXPECT_TRUE(r.brokenWriterCaught);
-  EXPECT_TRUE(r.brokenScheduleFound);
-  EXPECT_GE(r.brokenShrunkFaults, 1u);
-  EXPECT_FALSE(r.brokenArtifactJson.empty());
+  EXPECT_TRUE(r.brokenWriter.caught);
+  EXPECT_TRUE(r.brokenWriter.scheduleFound);
+  EXPECT_GE(r.brokenWriter.shrunkFaults, 1u);
+  EXPECT_FALSE(r.brokenWriter.artifactJson.empty());
 
   EXPECT_TRUE(r.pass);
 }

@@ -22,17 +22,16 @@ TEST(OomSmoke, ExplorationPressureParityAndFalsificationAllPass) {
   cfg.replayReports = 64;
   cfg.trackerFixes = 160;
   cfg.trackerHistoryLimit = 48;
-  cfg.brokenSearchRounds = 120;
 
   const OomEvalResult r = runOomEval(cfg);
 
   // Every workload explored, faults injected at sampled reservation
   // boundaries, zero invariant violations.
   ASSERT_EQ(r.workloads.size(), 5u);
-  for (const WorkloadOomStats& w : r.workloads) {
+  for (const ExploreStats& w : r.workloads) {
     EXPECT_GT(w.boundaries, 0u) << w.name;
     EXPECT_GT(w.points, 0u) << w.name;
-    EXPECT_GT(w.denials, 0u) << w.name;
+    EXPECT_GT(w.fired, 0u) << w.name;
     EXPECT_EQ(w.violations, 0u) << w.name;
   }
   EXPECT_EQ(r.totalPoints, 60u);
@@ -46,23 +45,21 @@ TEST(OomSmoke, ExplorationPressureParityAndFalsificationAllPass) {
 
   // The seam costs nothing: fix digests bit-identical with accounting
   // off vs a fault-free environment attached.
-  EXPECT_TRUE(r.parityChecked);
   EXPECT_TRUE(r.parityBitIdentical)
       << r.parityBaselineDigest << " vs " << r.paritySeamDigest;
 
   // Under a sustained ~80%-utilization shard budget the fleet trims
   // instead of failing: fix rate holds and accounting returns to zero.
-  EXPECT_TRUE(r.pressureChecked);
-  EXPECT_GE(r.pressureFixRate, 0.99);
+  EXPECT_GE(r.pressureFixRate, kPressureMinFixRate);
   EXPECT_TRUE(r.pressureRecovered);
   EXPECT_EQ(r.pressureEjections, 0u);
 
   // The harness catches the planted release-without-reserve bug and
   // shrinks a failing schedule to a minimal artifact.
-  EXPECT_TRUE(r.brokenCacheCaught);
-  EXPECT_TRUE(r.brokenScheduleFound);
-  EXPECT_GE(r.brokenShrunkFaults, 1u);
-  EXPECT_FALSE(r.brokenArtifactJson.empty());
+  EXPECT_TRUE(r.brokenCache.caught);
+  EXPECT_TRUE(r.brokenCache.scheduleFound);
+  EXPECT_GE(r.brokenCache.shrunkFaults, 1u);
+  EXPECT_FALSE(r.brokenCache.artifactJson.empty());
 
   EXPECT_TRUE(r.pass);
 }

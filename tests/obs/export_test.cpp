@@ -98,7 +98,7 @@ TEST(WriteTextFile, PowerCutAtEveryBoundaryLeavesOldOrNewNeverTorn) {
   ASSERT_GT(boundaries, 4u);
   for (uint64_t k = 0; k < boundaries; ++k) {
     sim::SimIoEnv env(sim::DiskImage{{"metrics.prom", "old_page 1\n"}});
-    env.setCrashAtOp(static_cast<int64_t>(k));
+    env.setFaults({{k, sim::FaultKind::kCrash}});
     try {
       writeTextFile("metrics.prom", "new_page 2\n", &env);
       FAIL() << "power cut at op " << k << " did not surface";

@@ -318,7 +318,7 @@ TEST(CheckpointStoreSim, PowerCutAtEveryBoundaryLeavesOldOrNewCheckpoint) {
     sim::SimIoEnv env;
     CheckpointStore store("calib.ckpt", &env);
     store.save(sampleCheckpoint());
-    env.setCrashAtOp(static_cast<int64_t>(k));
+    env.setFaults({{k, sim::FaultKind::kCrash}});
     try {
       store.save(next);
       FAIL() << "power cut at op " << k << " did not surface";

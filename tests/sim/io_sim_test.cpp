@@ -123,7 +123,7 @@ TEST(SimIoEnv, EnospcSurfacesToTheCaller) {
 
 TEST(SimIoEnv, PowerCutThrowsAndPoisonsEveryLaterCall) {
   SimIoEnv env;
-  env.setCrashAtOp(1);
+  env.setFaults({{1, FaultKind::kCrash}});
   const IoStatus fd = env.open("f", OpenMode::kTruncate);  // op 0
   ASSERT_TRUE(fd.ok());
   EXPECT_FALSE(env.crashed());
@@ -179,7 +179,7 @@ TEST(SimIoEnv, WriteFileDurableIsOldOrNewAtEverySyscallBoundary) {
   ASSERT_GT(boundaries, 4u);
   for (uint64_t k = 0; k < boundaries; ++k) {
     SimIoEnv env(DiskImage{{"f", "old"}});
-    env.setCrashAtOp(int64_t(k));
+    env.setFaults({{k, FaultKind::kCrash}});
     try {
       core::writeFileDurable(env, "f", "new!");
       FAIL() << "crash at op " << k << " did not surface";

@@ -16,12 +16,11 @@ TEST(SimMemEnv, FaultFreeGrantsEverythingAndCountsOps) {
   // Releases are not ops: the exploration domain is reservations only.
   EXPECT_EQ(env.opCount(), 10u);
   EXPECT_FALSE(env.underflow());
-  EXPECT_FALSE(env.budgetExceeded());
 }
 
 TEST(SimMemEnv, FailAtDeniesExactlyThatReservation) {
   SimMemEnv env;
-  env.setFailAt(2);
+  env.setFaults({{2, MemFaultKind::kDeny, 1}});
   EXPECT_TRUE(env.tryReserve(8));   // op 0
   EXPECT_TRUE(env.tryReserve(8));   // op 1
   EXPECT_FALSE(env.tryReserve(8));  // op 2: denied
@@ -68,16 +67,6 @@ TEST(SimMemEnv, PoisonDeniesEverythingUntilPressureClears) {
   EXPECT_TRUE(env.tryReserve(1));
 }
 
-TEST(SimMemEnv, EveryNthDeniesPeriodically) {
-  SimMemEnv env;
-  env.setEveryNth(3);
-  int denied = 0;
-  for (int i = 0; i < 12; ++i) {
-    if (!env.tryReserve(8)) ++denied;
-  }
-  EXPECT_EQ(denied, 3);  // ops 3, 6, 9 (op 0 is exempt)
-}
-
 TEST(SimMemEnv, UnderflowOracleFlagsReleaseWithoutReserve) {
   SimMemEnv env;
   EXPECT_TRUE(env.tryReserve(100));
@@ -85,15 +74,6 @@ TEST(SimMemEnv, UnderflowOracleFlagsReleaseWithoutReserve) {
   EXPECT_FALSE(env.underflow());
   env.release(1);  // bytes never reserved
   EXPECT_TRUE(env.underflow());
-}
-
-TEST(SimMemEnv, BudgetOracleNeverFiresWhenCallersRespectDenials) {
-  SimMemEnv env;
-  env.setBudget(256);
-  EXPECT_TRUE(env.tryReserve(200));
-  EXPECT_FALSE(env.tryReserve(100));  // would exceed: denied, not exceeded
-  EXPECT_FALSE(env.budgetExceeded());
-  EXPECT_EQ(env.usedBytes(), 200u);
 }
 
 TEST(SimMemEnv, SameScheduleSameWorkloadIsDeterministic) {
