@@ -1,13 +1,15 @@
 // Microbenchmarks of the hot paths (google-benchmark): profile evaluation
-// (one direction per call, and 720-point evaluateGrid sweeps), azimuth
-// spectrum search (exhaustive vs coarse-to-fine), the 3D spatial
-// search, and the end-to-end 2D fix (strict locate2D and the resilient
-// tryLocate2D).  The sweeps and the 3D search run once per kernel level
-// (last argument: 0 baseline, 1 x86-64-v3, 2 x86-64-v4; a level the host
-// lacks is skipped), and the context records the level every other
-// benchmark runs at.  The persistence layer: checkpoint text encode and
-// decode in the ingest workload's shape, and the CRC-32 that frames
-// checkpoints and capture chunks (bytes/s).
+// (one direction per call, 720-point evaluateGrid sweeps, and 720-point
+// rows of the float scan), azimuth spectrum search (exhaustive vs
+// coarse-to-fine), the 3D spatial search (the production float-screened
+// search and the double grid it replaced), and the end-to-end 2D fix
+// (strict locate2D and the resilient tryLocate2D).  The sweeps, the scan
+// rows and the 3D searches run once per kernel level (last argument: 0
+// baseline, 1 x86-64-v3, 2 x86-64-v4; a level the host lacks is skipped),
+// and the context records the level every other benchmark runs at.  The
+// persistence layer: checkpoint text encode and decode in the ingest
+// workload's shape, and the CRC-32 that frames checkpoints and capture
+// chunks (bytes/s).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -150,26 +152,83 @@ void BM_AzimuthSearchCoarseFine(benchmark::State& state) {
 }
 BENCHMARK(BM_AzimuthSearchCoarseFine);
 
-// estimateSpatial's search (the non-negative gamma half of the paper
-// config's grid), every evaluation at the kernel level of argument 0.
+// The production 3D search, estimateSpatial (float scan, double re-check
+// of the candidate cells, refinement), at the kernel level of argument 0.
 void BM_SpatialSearch3D(benchmark::State& state) {
   const std::optional<core::KernelIsa> isa = kernelLevel(state, 0);
   if (!isa) return;
   const auto snaps = makeSnapshots(1024, 1.0);
   const core::PowerProfile profile(snaps, kKin, {});
   const core::SearchConfig search;
+  size_t rechecked = 0;
+  for (auto _ : state) {
+    const core::SpatialEstimate est =
+        core::estimateSpatialOn(*isa, profile, search);
+    rechecked = est.recheckedCells;
+    benchmark::DoNotOptimize(est);
+  }
+  state.counters["rechecked"] = static_cast<double>(rechecked);
+}
+BENCHMARK(BM_SpatialSearch3D)
+    ->ArgsProduct({kLevels})
+    ->Unit(benchmark::kMillisecond);
+
+// The 3D search before the float scan: maximizeRect over the whole double
+// grid, every evaluation at the kernel level of argument 0 -- the same
+// result as BM_SpatialSearch3D's, for the before/after comparison.
+void BM_SpatialSearch3DDoubleGrid(benchmark::State& state) {
+  const std::optional<core::KernelIsa> isa = kernelLevel(state, 0);
+  if (!isa) return;
+  const auto snaps = makeSnapshots(1024, 1.0);
+  const core::PowerProfile profile(snaps, kKin, {});
+  const core::SearchConfig search;
+  const dsp::RectGrid grid = core::spatialSearchGrid(search);
   for (auto _ : state) {
     benchmark::DoNotOptimize(dsp::maximizeRect(
         [&](std::span<const double> phis, double gamma,
             std::span<double> out) {
           profile.evaluateGridOn(*isa, phis, std::cos(gamma), out);
         },
-        std::max(search.polarMin, 0.0), search.polarMax,
-        search.azimuthGridPoints / 2,
-        std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds));
+        grid.ymin, grid.ymax, grid.nx, grid.ny, search.refineRounds));
   }
 }
-BENCHMARK(BM_SpatialSearch3D)->ArgsProduct({kLevels});
+BENCHMARK(BM_SpatialSearch3DDoubleGrid)
+    ->ArgsProduct({kLevels})
+    ->Unit(benchmark::kMillisecond);
+
+// One 720-point row of the float scan (values and bounds) per iteration at
+// the kernel level of argument 1, for BM_EvaluateGrid*'s comparison: items
+// are snapshot-evaluations.
+void scanRow(benchmark::State& state, core::ProfileFormula formula) {
+  const std::optional<core::KernelIsa> isa = kernelLevel(state, 1);
+  if (!isa) return;
+  const auto snaps = makeSnapshots(static_cast<size_t>(state.range(0)), 1.0);
+  core::ProfileConfig pc;
+  pc.formula = formula;
+  const core::PowerProfile profile(snaps, kKin, pc);
+  const std::vector<double> grid = dsp::circularGrid(720);
+  const double scale = 1.0;
+  std::vector<double> values(grid.size());
+  std::vector<double> bounds(grid.size());
+  for (auto _ : state) {
+    profile.scanRectOn(*isa, grid, {&scale, 1}, values, bounds);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::DoNotOptimize(bounds.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(grid.size() * snaps.size()));
+}
+
+void BM_ScanRectQ(benchmark::State& state) {
+  scanRow(state, core::ProfileFormula::kRelativeQ);
+}
+BENCHMARK(BM_ScanRectQ)->ArgsProduct({{256, 1250}, kLevels});
+
+void BM_ScanRectR(benchmark::State& state) {
+  scanRow(state, core::ProfileFormula::kEnhancedR);
+}
+BENCHMARK(BM_ScanRectR)->ArgsProduct({{256, 1250}, kLevels});
 
 void BM_Locate2D(benchmark::State& state) {
   core::RigObservation o1;

@@ -27,6 +27,7 @@ Locator::Instruments Locator::Instruments::resolve(
   in.degraded = registry->counter("locator.degraded");
   in.confidenceDowngrades = registry->counter("locator.confidence_downgrades");
   in.rigsDropped = registry->counter("locator.rigs_dropped");
+  in.spatialRechecks = registry->counter("locator.spatial_rechecked_cells");
   in.quarantinedSpins = registry->counter("robust.quarantined_spins");
   in.suspectSpins = registry->counter("robust.suspect_spins");
   in.behindOriginRays = registry->counter("robust.behind_origin_rays");
@@ -58,6 +59,7 @@ Locator::RigPass Locator::searchRig(std::span<const Snapshot> snaps,
   TAGSPIN_SPAN(obs_.spectrumSearch);
   if (threeD) {
     const SpatialEstimate est = estimateSpatial(pass.profile, config_.search);
+    obs::add(obs_.spatialRechecks, est.recheckedCells);
     pass.direction = {est.azimuth, est.polar, est.value};
   } else {
     pass.spectrum = searchAzimuth(pass.profile, config_.search);

@@ -168,6 +168,9 @@ class Locator {
     obs::Counter* degraded = nullptr;
     obs::Counter* confidenceDowngrades = nullptr;
     obs::Counter* rigsDropped = nullptr;
+    // locator.spatial_rechecked_cells: grid cells the 3D searches
+    // re-evaluated in double after the float scan.
+    obs::Counter* spatialRechecks = nullptr;
     obs::Counter* quarantinedSpins = nullptr;   // robust.quarantined_spins
     obs::Counter* suspectSpins = nullptr;       // robust.suspect_spins
     obs::Counter* behindOriginRays = nullptr;   // robust.behind_origin_rays

@@ -1,8 +1,6 @@
 #include "core/power_profile.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cfloat>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,189 +8,42 @@
 #include <numbers>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
+#include "core/kernel_math.hpp"
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
-
-// The kernel's integer parts come from the bit pattern of x + 1.5*2^52,
-// which rounds x to an integer only under strict IEEE double arithmetic.
-#ifdef __FAST_MATH__
-#error "-ffast-math folds the kernel's 1.5*2^52 rounding shifter away"
-#endif
-#if FLT_EVAL_METHOD != 0
-#error "power_profile.cpp needs doubles evaluated in double precision"
-#endif
 
 namespace tagspin::core {
 namespace {
 
-// ---- Inline branch-free math for the kernel (DESIGN.md, "Spectrum
-// kernel").  Plain arithmetic and bit operations only, so the lane loops
-// below vectorize without intrinsics.  Always inlined, so each per-level
-// entry point compiles them at its own instruction-set level.
-
-constexpr double kShifter = 0x1.8p52;  // 1.5 * 2^52
-
-/// round-half-even(x) for |x| < 2^51, as a double and as the integer's
-/// two's-complement bits (unsigned, so every operation on them is defined
-/// and vectorizes).
-struct Rounded {
-  double value;
-  uint64_t integer;
-};
-
-[[gnu::always_inline]] inline Rounded roundShift(double x) {
-  const double t = x + kShifter;
-  return {t - kShifter,
-          std::bit_cast<uint64_t>(t) - std::bit_cast<uint64_t>(kShifter)};
-}
-
-/// All ones where `flag` (0 or 1) is set.  Selects are written as bit
-/// masks: a floating-point ?: keeps GCC from vectorizing the lane loops
-/// under its default -ftrapping-math.
-[[gnu::always_inline]] inline uint64_t maskOf(uint64_t flag) {
-  return uint64_t{0} - flag;
-}
-
-[[gnu::always_inline]] inline double select(uint64_t mask, double ifSet,
-                                            double ifClear) {
-  return std::bit_cast<double>((std::bit_cast<uint64_t>(ifSet) & mask) |
-                               (std::bit_cast<uint64_t>(ifClear) & ~mask));
-}
-
-constexpr double kTwoPi = 2.0 * std::numbers::pi;
-constexpr double kInvTwoPi = 1.0 / kTwoPi;
-// kTwoPi = kTwoPiHi + kTwoPiLo exactly; n * kTwoPiHi is exact for
-// |n| < 2^22 (kTwoPiHi has 31 significant bits).
-constexpr double kTwoPiHi = 0x1.921fb544p+2;
-constexpr double kTwoPiLo = kTwoPi - kTwoPiHi;
-
-/// geom::wrapToPi, bit for bit away from the +-pi seam, for
-/// |x| < 2^22 turns.  x - n*2pi with n = round(x / 2pi) is exact here, as
-/// fmod is; wrapToPi then maps a negative input that lands in (-pi, 0)
-/// through (r + 2pi) - 2pi, which rounds, and so does this.  The weights
-/// need that rounding: with phaseNoiseStd = 1e-3 one ulp of residual moves
-/// a weight by ~1e-11 relative.
-[[gnu::always_inline]] inline double wrapPhase(double x) {
-  const double n = roundShift(x * kInvTwoPi).value;
-  const double y = (x - n * kTwoPiHi) - n * kTwoPiLo;
-  const double viaPositive = (y + kTwoPi) - kTwoPi;
-  const uint64_t bothNegative =
-      (std::bit_cast<uint64_t>(x) & std::bit_cast<uint64_t>(y)) >> 63;
-  return select(maskOf(bothNegative), viaPositive, y);
-}
-
-/// fdlibm's __kernel_sin (iy = 1) on [-pi/4, pi/4] for the reduced
-/// argument x + y.
-[[gnu::always_inline]] inline double kernelSin(double x, double y) {
-  constexpr double S1 = -1.66666666666666324348e-01;
-  constexpr double S2 = 8.33333333332248946124e-03;
-  constexpr double S3 = -1.98412698298579493134e-04;
-  constexpr double S4 = 2.75573137070700676789e-06;
-  constexpr double S5 = -2.50507602534068634195e-08;
-  constexpr double S6 = 1.58969099521155010221e-10;
-  const double z = x * x;
-  const double w = z * z;
-  const double r = S2 + z * (S3 + z * S4) + z * w * (S5 + z * S6);
-  const double v = z * x;
-  return x - ((z * (0.5 * y - v * r) - y) - v * S1);
-}
-
-/// fdlibm's __kernel_cos on [-pi/4, pi/4] for the reduced argument x + y.
-[[gnu::always_inline]] inline double kernelCos(double x, double y) {
-  constexpr double C1 = 4.16666666666666019037e-02;
-  constexpr double C2 = -1.38888888888741095749e-03;
-  constexpr double C3 = 2.48015872894767294178e-05;
-  constexpr double C4 = -2.75573143513906633035e-07;
-  constexpr double C5 = 2.08757232129817482790e-09;
-  constexpr double C6 = -1.13596475577881948265e-11;
-  const double z = x * x;
-  const double w = z * z;
-  const double r =
-      z * (C1 + z * (C2 + z * C3)) + w * w * (C4 + z * (C5 + z * C6));
-  const double hz = 0.5 * z;
-  const double v = 1.0 - hz;
-  return v + (((1.0 - v) - hz) + (z * r - x * y));
-}
-
-// pi/2 = kPio2Hi + kPio2Lo (fdlibm's pio2_1, pio2_1t); n * kPio2Hi is
-// exact for |n| < 2^20.
-constexpr double kInvPio2 = 6.36619772367581382433e-01;
-constexpr double kPio2Hi = 1.57079632673412561417e+00;
-constexpr double kPio2Lo = 6.07710050650619224932e-11;
-
-/// sin and cos of x, |x| < 2^20 * pi/2: a two-constant quadrant reduction
-/// (fdlibm's medium path without its cancellation retry) and the fdlibm
-/// kernels, the quadrant applied by swapping and sign-flipping bits.
-[[gnu::always_inline]] inline void sinCos(double x, double& s, double& c) {
-  const Rounded q = roundShift(x * kInvPio2);
-  const double hi = x - q.value * kPio2Hi;  // exact
-  const double lo = q.value * kPio2Lo;
-  const double r = hi - lo;
-  const double tail = (hi - r) - lo;
-  const uint64_t sinBits = std::bit_cast<uint64_t>(kernelSin(r, tail));
-  const uint64_t cosBits = std::bit_cast<uint64_t>(kernelCos(r, tail));
-  const uint64_t n = q.integer;
-  const uint64_t swap = maskOf(n & 1);  // odd quadrant: swap
-  s = std::bit_cast<double>(((sinBits & ~swap) | (cosBits & swap)) ^
-                            ((n & 2) << 62));
-  c = std::bit_cast<double>(((cosBits & ~swap) | (sinBits & swap)) ^
-                            (((n + 1) & 2) << 62));
-}
-
-/// e^x for x <= 0 (the likelihood weights), returning exactly 0 wherever
-/// std::exp underflows to 0 and NaN for NaN.  x = k ln2 + r with
-/// |r| <= ln2/2, e^r by its Taylor series to r^13 (truncation < 2^-57),
-/// and 2^k applied as two normal factors so a subnormal result rounds
-/// once.
-[[gnu::always_inline]] inline double expKernel(double x) {
-  constexpr double kLog2e = 1.44269504088896338700e+00;
-  constexpr double kLn2Hi = 6.93147180369123816490e-01;  // 32 bits
-  constexpr double kLn2Lo = 1.90821492927058770002e-10;
-  // |x| > 1000 (but not NaN) becomes -1000: e^-1000 == 0, and k stays in
-  // range.
-  constexpr uint64_t kLimit = std::bit_cast<uint64_t>(1000.0);
-  constexpr uint64_t kInf = std::bit_cast<uint64_t>(
-      std::numeric_limits<double>::infinity());
-  const uint64_t magnitude = std::bit_cast<uint64_t>(x) & (kInf | (kInf - 1));
-  const uint64_t beyond =
-      ((kLimit - magnitude) >> 63) & (((magnitude - kInf - 1) >> 63));
-  x = select(maskOf(beyond), -1000.0, x);
-  const Rounded k = roundShift(x * kLog2e);
-  const double r = (x - k.value * kLn2Hi) - k.value * kLn2Lo;
-  // q = (e^r - 1 - r) / r^2 = sum_k r^k / (k + 2)!, k = 0..11, by
-  // Estrin's scheme: short dependency chains, so the lanes overlap.
-  const double r2 = r * r;
-  const double r4 = r2 * r2;
-  const double r8 = r4 * r4;
-  const double a0 = 0.5 + r * (1.0 / 6.0);
-  const double a1 = 1.0 / 24.0 + r * (1.0 / 120.0);
-  const double a2 = 1.0 / 720.0 + r * (1.0 / 5040.0);
-  const double a3 = 1.0 / 40320.0 + r * (1.0 / 362880.0);
-  const double a4 = 1.0 / 3628800.0 + r * (1.0 / 39916800.0);
-  const double a5 = 1.0 / 479001600.0 + r * (1.0 / 6227020800.0);
-  const double b0 = a0 + r2 * a1;
-  const double b1 = a2 + r2 * a3;
-  const double b2 = a4 + r2 * a5;
-  const double q = (b0 + r4 * b1) + r8 * b2;
-  const double p = 1.0 + (r + r2 * q);
-  // k1 = k >> 1 (arithmetic), k2 = k - k1; both in [-722, 0].
-  const uint64_t k1 = (k.integer >> 1) | (k.integer & (uint64_t{1} << 63));
-  const uint64_t k2 = k.integer - k1;
-  const double scale1 = std::bit_cast<double>((k1 + 1023) << 52);
-  const double scale2 = std::bit_cast<double>((k2 + 1023) << 52);
-  return (p * scale1) * scale2;
-}
+using kernel::FloatScanError;
 
 /// Per-thread residual scratch for the enhanced profile, so concurrent
 /// const calls on one profile share nothing.
-double* residualScratch(size_t size) {
-  thread_local std::vector<double> scratch;
+template <class T>
+T* residualScratch(size_t size) {
+  thread_local std::vector<T> scratch;
   if (scratch.size() < size) scratch.resize(size);
   return scratch.data();
 }
 
-constexpr size_t kLanes = 8;
+/// Directions per block: 8 doubles or 16 floats, one AVX-512 register.
+template <class T>
+constexpr size_t kLanes = std::is_same_v<T, float> ? 16 : 8;
+
+/// Entries per partial sum: the float scan adds a float partial of at most
+/// FloatScanError::kChunk entries to a double accumulator, so its rounding
+/// grows with the chunk, not the group; double sums each group in one
+/// chunk, in the order the scalar code did.
+template <class T>
+constexpr size_t kChunk =
+    std::is_same_v<T, float> ? FloatScanError::kChunk : SIZE_MAX;
+
+/// The end of the chunk that starts at `begin` in a group ending at `end`.
+inline size_t chunkEnd(size_t begin, size_t end, size_t chunk) {
+  return end - begin > chunk ? begin + chunk : end;
+}
 
 }  // namespace
 
@@ -275,25 +126,37 @@ PowerProfile::PowerProfile(std::span<const Snapshot> snapshots,
   }
 }
 
-template <size_t L>
-void PowerProfile::evaluateBlock(const double* angles, double scale,
-                                 double* out, WeightSums* sums) const {
+template <class T, size_t L>
+void PowerProfile::evaluateBlock(const Call<T>& call, const double* angles,
+                                 double* out, double* norms) const {
+  using kernel::expKernel;
+  using kernel::residualPhase;
+  using kernel::sinCos;
+  using kernel::steeredPhase;
+  using kernel::wrapPhase;
+  constexpr bool kDouble = std::is_same_v<T, double>;
   const bool enhanced = config_.formula == ProfileFormula::kEnhancedR;
+  // The direction's cos/sin come from libm in double at every type.
   double cosPhi[L];
   double sinPhi[L];
+  T cosPhiT[L];
+  T sinPhiT[L];
   double total[L];
   for (size_t l = 0; l < L; ++l) {
     cosPhi[l] = std::cos(angles[l]);
     sinPhi[l] = std::sin(angles[l]);
+    cosPhiT[l] = static_cast<T>(cosPhi[l]);
+    sinPhiT[l] = static_cast<T>(sinPhi[l]);
     total[l] = 0.0;
   }
   size_t largestGroup = 0;
   for (size_t g = 0; g + 1 < groupStart_.size(); ++g) {
     largestGroup = std::max(largestGroup, groupStart_[g + 1] - groupStart_[g]);
   }
-  double* const scratch =
-      enhanced ? residualScratch(3 * L * largestGroup) : nullptr;
-  const double inv2Sigma2 = 1.0 / (2.0 * sigmaPair_ * sigmaPair_);
+  T* const scratch =
+      enhanced ? residualScratch<T>(3 * L * largestGroup) : nullptr;
+  const T inv2Sigma2 = static_cast<T>(1.0 / (2.0 * sigmaPair_ * sigmaPair_));
+  const T scale = static_cast<T>(call.scale);
   double weightSum = 0.0;
   double weightSumSq = 0.0;
 
@@ -303,21 +166,29 @@ void PowerProfile::evaluateBlock(const double* angles, double scale,
     double re[L] = {};
     double im[L] = {};
     if (!enhanced) {
-      for (size_t i = begin; i < end; ++i) {
-        const double ca = cosA_[i];
-        const double sa = sinA_[i];
-        const double kr = kr_[i];
-        const double rel = relPhase_[i];
-        for (size_t l = 0; l < L; ++l) {
-          // cos(a_i - phi) from the precomputed components.
-          const double cosAmP = ca * cosPhi[l] + sa * sinPhi[l];
-          const double steer = kr * cosAmP * scale;
-          double s;
-          double c;
-          sinCos(rel + steer, s, c);
-          re[l] += c;
-          im[l] += s;
+      for (size_t chunk = begin; chunk < end;) {
+        const size_t stop = chunkEnd(chunk, end, kChunk<T>);
+        T partRe[L] = {};
+        T partIm[L] = {};
+        for (size_t i = chunk; i < stop; ++i) {
+          const T ca = call.cosA[i];
+          const T sa = call.sinA[i];
+          const T kr = call.kr[i];
+          const T rel = call.relPhase[i];
+          for (size_t l = 0; l < L; ++l) {
+            T s;
+            T c;
+            sinCos(steeredPhase(rel, kr, ca, sa, cosPhiT[l], sinPhiT[l], scale),
+                   s, c);
+            partRe[l] += c;
+            partIm[l] += s;
+          }
         }
+        for (size_t l = 0; l < L; ++l) {
+          re[l] += partRe[l];
+          im[l] += partIm[l];
+        }
+        chunk = stop;
       }
     } else {
       // Enhanced profile R.  Each snapshot's residual against the steering
@@ -335,90 +206,118 @@ void PowerProfile::evaluateBlock(const double* angles, double scale,
       // The first pass stores each residual and its phasor; the second
       // weights the stored phasors.  Entry i's lanes live at
       // scratch[3L(i - begin) ...]: residuals, then cos, then sin.
-      double cosRefMinusPhi[L];
+      T cosRefMinusPhi[L];
       double centroidRe[L] = {};
       double centroidIm[L] = {};
       for (size_t l = 0; l < L; ++l) {
-        cosRefMinusPhi[l] = refCos_[g] * cosPhi[l] + refSin_[g] * sinPhi[l];
+        cosRefMinusPhi[l] = static_cast<T>(refCos_[g] * cosPhi[l] +
+                                           refSin_[g] * sinPhi[l]);
       }
-      for (size_t i = begin; i < end; ++i) {
-        double* const slot = scratch + 3 * L * (i - begin);
-        const double ca = cosA_[i];
-        const double sa = sinA_[i];
-        const double krScale = kr_[i] * scale;
-        const double rel = relPhase_[i];
-        for (size_t l = 0; l < L; ++l) {
-          const double cosAmP = ca * cosPhi[l] + sa * sinPhi[l];
-          const double predicted = krScale * (cosRefMinusPhi[l] - cosAmP);
-          const double r = wrapPhase(rel - predicted);
-          double s;
-          double c;
-          sinCos(r, s, c);
-          slot[l] = r;
-          slot[L + l] = c;
-          slot[2 * L + l] = s;
-          centroidRe[l] += c;
-          centroidIm[l] += s;
+      for (size_t chunk = begin; chunk < end;) {
+        const size_t stop = chunkEnd(chunk, end, kChunk<T>);
+        T partRe[L] = {};
+        T partIm[L] = {};
+        for (size_t i = chunk; i < stop; ++i) {
+          T* const slot = scratch + 3 * L * (i - begin);
+          const T ca = call.cosA[i];
+          const T sa = call.sinA[i];
+          const T krScale = call.kr[i] * scale;
+          const T rel = call.relPhase[i];
+          for (size_t l = 0; l < L; ++l) {
+            const T r = wrapPhase(residualPhase(rel, krScale, ca, sa,
+                                                cosPhiT[l], sinPhiT[l],
+                                                cosRefMinusPhi[l]));
+            T s;
+            T c;
+            sinCos(r, s, c);
+            slot[l] = r;
+            slot[L + l] = c;
+            slot[2 * L + l] = s;
+            partRe[l] += c;
+            partIm[l] += s;
+          }
         }
+        for (size_t l = 0; l < L; ++l) {
+          centroidRe[l] += partRe[l];
+          centroidIm[l] += partIm[l];
+        }
+        chunk = stop;
       }
-      double center[L];
+      T center[L];
       for (size_t l = 0; l < L; ++l) {
-        center[l] = std::hypot(centroidRe[l], centroidIm[l]) > 0.0
-                        ? std::atan2(centroidIm[l], centroidRe[l])
-                        : 0.0;
+        const double norm = std::hypot(centroidRe[l], centroidIm[l]);
+        center[l] = static_cast<T>(
+            norm > 0.0 ? std::atan2(centroidIm[l], centroidRe[l]) : 0.0);
+        if (norms != nullptr) norms[g * call.normStride + l] = norm;
       }
-      for (size_t i = begin; i < end; ++i) {
-        const double* const slot = scratch + 3 * L * (i - begin);
-        double w[L];
-        for (size_t l = 0; l < L; ++l) {
-          const double centred = wrapPhase(slot[l] - center[l]);
-          w[l] = expKernel(-centred * centred * inv2Sigma2);
-          // e^{J(relPhase + steer)} = e^{J(residual)} *
-          // e^{J k r cg cos(a_0-phi)} and the group-constant factor drops
-          // under |.|, so sum residual phasors directly.
-          re[l] += w[l] * slot[L + l];
-          im[l] += w[l] * slot[2 * L + l];
+      for (size_t chunk = begin; chunk < end;) {
+        const size_t stop = chunkEnd(chunk, end, kChunk<T>);
+        T partRe[L] = {};
+        T partIm[L] = {};
+        for (size_t i = chunk; i < stop; ++i) {
+          const T* const slot = scratch + 3 * L * (i - begin);
+          T w[L];
+          for (size_t l = 0; l < L; ++l) {
+            const T centred = wrapPhase(slot[l] - center[l]);
+            w[l] = expKernel(-centred * centred * inv2Sigma2);
+            // e^{J(relPhase + steer)} = e^{J(residual)} *
+            // e^{J k r cg cos(a_0-phi)} and the group-constant factor drops
+            // under |.|, so sum residual phasors directly.
+            partRe[l] += w[l] * slot[L + l];
+            partIm[l] += w[l] * slot[2 * L + l];
+          }
+          if constexpr (kDouble) {
+            weightSum += w[0];
+            weightSumSq += w[0] * w[0];
+          }
         }
-        weightSum += w[0];
-        weightSumSq += w[0] * w[0];
+        for (size_t l = 0; l < L; ++l) {
+          re[l] += partRe[l];
+          im[l] += partIm[l];
+        }
+        chunk = stop;
       }
     }
     for (size_t l = 0; l < L; ++l) total[l] += std::hypot(re[l], im[l]);
   }
   const double n = static_cast<double>(snapshotCount());
   for (size_t l = 0; l < L; ++l) out[l] = total[l] / n;
-  if (sums != nullptr) *sums = {weightSum, weightSumSq};
+  if (call.sums != nullptr) *call.sums = {weightSum, weightSumSq};
 }
 
-void PowerProfile::evaluateAll(const double* angles, size_t count,
-                               double scale, double* out,
-                               WeightSums* sums) const {
-  if (count == 1 || sums != nullptr) {
-    evaluateBlock<1>(angles, scale, out, sums);
+template <class T>
+void PowerProfile::evaluateAll(const Call<T>& call) const {
+  constexpr size_t kBlock = kLanes<T>;
+  const size_t count = call.count;
+  if (count == 1 || call.sums != nullptr) {
+    evaluateBlock<T, 1>(call, call.angles, call.out, call.norms);
     return;
   }
   size_t i = 0;
-  for (; i + kLanes <= count; i += kLanes) {
-    evaluateBlock<kLanes>(angles + i, scale, out + i, nullptr);
+  for (; i + kBlock <= count; i += kBlock) {
+    evaluateBlock<T, kBlock>(call, call.angles + i, call.out + i,
+                             call.norms != nullptr ? call.norms + i : nullptr);
   }
   if (i < count) {
-    // Tail block, padded with copies of the last angle.
+    // Tail block, padded with copies of the last angle.  The scan's
+    // norms rows are padded to a whole block (normStride).
     const size_t rest = count - i;
-    double padded[kLanes];
-    double values[kLanes];
-    for (size_t l = 0; l < kLanes; ++l) {
-      padded[l] = angles[i + (l < rest ? l : rest - 1)];
+    double padded[kBlock];
+    double values[kBlock];
+    for (size_t l = 0; l < kBlock; ++l) {
+      padded[l] = call.angles[i + (l < rest ? l : rest - 1)];
     }
-    evaluateBlock<kLanes>(padded, scale, values, nullptr);
-    for (size_t l = 0; l < rest; ++l) out[i + l] = values[l];
+    evaluateBlock<T, kBlock>(call, padded, values,
+                             call.norms != nullptr ? call.norms + i : nullptr);
+    for (size_t l = 0; l < rest; ++l) call.out[i + l] = values[l];
   }
 }
 
-// ---- Dispatch (DESIGN.md, "Dispatch").  Three thin entry points inline
-// the one kernel body, each at its own instruction-set level; the build
-// compiles this file with -ffp-contract=off, so the AVX2 and AVX-512
-// entries cannot fuse a multiply-add that the baseline entry rounds twice.
-// Only x86-64 GCC builds get the wider entries.
+// ---- Dispatch (DESIGN.md, "Dispatch").  Three thin entry points per value
+// type inline the one kernel body, each at its own instruction-set level;
+// the build compiles this file with -ffp-contract=off, so the AVX2 and
+// AVX-512 entries cannot fuse a multiply-add that the baseline entry
+// rounds twice.  Only x86-64 GCC builds get the wider entries.
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
 #define TAGSPIN_KERNEL_DISPATCH 1
@@ -427,40 +326,49 @@ void PowerProfile::evaluateAll(const double* angles, size_t count,
 #endif
 
 struct PowerProfile::Kernel {
-  using Entry = void (*)(const PowerProfile&, const double*, size_t, double,
-                         double*, WeightSums*);
+  template <class T>
+  using Entry = void (*)(const PowerProfile&, const Call<T>&);
 
-  static void baseline(const PowerProfile& p, const double* angles,
-                       size_t count, double scale, double* out,
-                       WeightSums* sums) {
-    p.evaluateAll(angles, count, scale, out, sums);
+  template <class T>
+  static void baseline(const PowerProfile& p, const Call<T>& call) {
+    p.evaluateAll(call);
   }
 #if TAGSPIN_KERNEL_DISPATCH
-  [[gnu::target("arch=x86-64-v3")]] static void v3(
-      const PowerProfile& p, const double* angles, size_t count, double scale,
-      double* out, WeightSums* sums) {
-    p.evaluateAll(angles, count, scale, out, sums);
+  template <class T>
+  [[gnu::target("arch=x86-64-v3")]] static void v3(const PowerProfile& p,
+                                                   const Call<T>& call) {
+    p.evaluateAll(call);
   }
-  [[gnu::target("arch=x86-64-v4")]] static void v4(
-      const PowerProfile& p, const double* angles, size_t count, double scale,
-      double* out, WeightSums* sums) {
-    p.evaluateAll(angles, count, scale, out, sums);
+  template <class T>
+  [[gnu::target("arch=x86-64-v4")]] static void v4(const PowerProfile& p,
+                                                   const Call<T>& call) {
+    p.evaluateAll(call);
   }
 #endif
 
-  static Entry entry(KernelIsa isa) {
+  template <class T>
+  static Entry<T> entry(KernelIsa isa) {
     if (!kernelIsaSupported(isa)) {
       throw std::invalid_argument(std::string("PowerProfile: kernel level ") +
                                   kernelIsaName(isa) +
                                   " is not supported here");
     }
 #if TAGSPIN_KERNEL_DISPATCH
-    if (isa == KernelIsa::kX86_64_V4) return v4;
-    if (isa == KernelIsa::kX86_64_V3) return v3;
+    if (isa == KernelIsa::kX86_64_V4) return v4<T>;
+    if (isa == KernelIsa::kX86_64_V3) return v3<T>;
 #endif
-    return baseline;
+    return baseline<T>;
   }
 };
+
+PowerProfile::Call<double> PowerProfile::doubleCall(const double* angles,
+                                                    size_t count, double scale,
+                                                    double* out,
+                                                    WeightSums* sums) const {
+  return {cosA_.data(), sinA_.data(), kr_.data(), relPhase_.data(),
+          angles,       count,        scale,      out,
+          sums,         nullptr,      0};
+}
 
 namespace {
 
@@ -510,8 +418,9 @@ void PowerProfile::evaluateGridOn(KernelIsa isa,
     throw std::invalid_argument(
         "PowerProfile::evaluateGrid: angles and out differ in size");
   }
-  Kernel::entry(isa)(*this, angles.data(), angles.size(), scale, out.data(),
-                     nullptr);
+  Kernel::entry<double>(isa)(
+      *this, doubleCall(angles.data(), angles.size(), scale, out.data(),
+                        nullptr));
 }
 
 double PowerProfile::evaluate(double phi, double gamma) const {
@@ -532,17 +441,173 @@ PowerProfile::WeightStats PowerProfile::weightStats(double phi,
 PowerProfile::WeightStats PowerProfile::weightStatsOn(KernelIsa isa,
                                                       double phi,
                                                       double gamma) const {
-  const Kernel::Entry entry = Kernel::entry(isa);
+  const Kernel::Entry<double> entry = Kernel::entry<double>(isa);
   WeightStats stats;
   if (config_.formula != ProfileFormula::kEnhancedR) return stats;
   WeightSums sums;
   double value = 0.0;
-  entry(*this, &phi, 1, std::cos(gamma), &value, &sums);
+  entry(*this, doubleCall(&phi, 1, std::cos(gamma), &value, &sums));
   const double n = static_cast<double>(snapshotCount());
   stats.meanWeight = sums.sum / n;
   stats.effectiveFraction =
       sums.sumSq > 0.0 ? (sums.sum * sums.sum) / (n * sums.sumSq) : 0.0;
   return stats;
+}
+
+namespace {
+
+/// The scan's per-thread state: the float copy of the entries it runs on,
+/// per-group terms of the bound, and R's centroid magnitudes.  Refilled by
+/// every call, so no call sees another's data.
+struct ScanScratch {
+  std::vector<float> cosA;
+  std::vector<float> sinA;
+  std::vector<float> kr;
+  std::vector<float> relPhase;
+  std::vector<double> relSum;     // sum |rel| per group
+  std::vector<double> krSum;      // sum k r per group
+  std::vector<double> phasorErr;  // bound on |float - double| group sum
+  std::vector<double> groupErr;   // the group's lane-free bound
+  std::vector<double> norms;      // R: |centroid|, group-major
+};
+
+ScanScratch& scanScratch() {
+  thread_local ScanScratch scratch;
+  return scratch;
+}
+
+/// A bound on the angle between a centroid computed as `norm`'s vector and
+/// any vector within `err` of it: asin(t) <= t / sqrt(1 - t^2) <= 1.1548 t
+/// for t = err / norm <= 1/2; beyond that, pi.  A NaN or zero norm gives
+/// pi.  The 2^-48 covers both kernels' atan2 rounding.
+double centreError(double err, double norm) {
+  const double t = err / norm;
+  return (t <= 0.5 ? 1.1548 * t : std::numbers::pi) + 0x1p-48;
+}
+
+}  // namespace
+
+void PowerProfile::scanRect(std::span<const double> angles,
+                            std::span<const double> scales,
+                            std::span<double> values,
+                            std::span<double> bounds) const {
+  scanRectOn(activeKernelIsa(), angles, scales, values, bounds);
+}
+
+// The bound (DESIGN.md section 11, "Float scan"), per channel group of m
+// entries, u = 2^-24, M_i = |rel_i| + 2 k_i r |scale|:
+//   phase   sum_i |dtheta_i| <= u (9 sum M_i + 4 m)
+//   phasor  |float group sum - double group sum| of unit phasors
+//           <= phase + m sqrt2 E_sincos + sum, with
+//   sum     sqrt2 m ((chunk - 1) u + m 2^-52)  (float chunks, double sums)
+// Q and P: the group's error is `phasor`.  R adds the weights, through
+// their slope s = e^{-1/2} / sigma_w, the centre's error dc (centreError of
+// `phasor` and the group's |centroid|) and the rounding of each weight:
+//   (s + 1) phase + m (s 16u + E_exp + 2u + sqrt2 E_sincos + u) + sum
+//   + s m dc.
+// Each group's term is capped at m (1 + 2^-16) -- both values lie in
+// [0, m] up to rounding -- and the cell's bound is (1 + 2^-16) / n times
+// their sum; the slack covers the double kernel's own error, which obeys
+// the same derivation with u = 2^-53.
+void PowerProfile::scanRectOn(KernelIsa isa, std::span<const double> angles,
+                              std::span<const double> scales,
+                              std::span<double> values,
+                              std::span<double> bounds) const {
+  using E = FloatScanError;
+  const size_t cols = angles.size();
+  if (values.size() != cols * scales.size() || bounds.size() != values.size()) {
+    throw std::invalid_argument(
+        "PowerProfile::scanRect: values and bounds must hold one entry per "
+        "angle and scale");
+  }
+  const Kernel::Entry<float> entry = Kernel::entry<float>(isa);
+  if (values.empty()) return;
+
+  const bool enhanced = config_.formula == ProfileFormula::kEnhancedR;
+  const size_t n = snapshotCount();
+  const size_t groups = groupStart_.size() - 1;
+  ScanScratch& s = scanScratch();
+  s.cosA.resize(n);
+  s.sinA.resize(n);
+  s.kr.resize(n);
+  s.relPhase.resize(n);
+  s.relSum.assign(groups, 0.0);
+  s.krSum.assign(groups, 0.0);
+  s.phasorErr.resize(groups);
+  s.groupErr.resize(groups);
+  double maxRel = 0.0;
+  double maxKr = 0.0;
+  for (size_t g = 0; g < groups; ++g) {
+    for (size_t i = groupStart_[g]; i < groupStart_[g + 1]; ++i) {
+      s.cosA[i] = static_cast<float>(cosA_[i]);
+      s.sinA[i] = static_cast<float>(sinA_[i]);
+      s.kr[i] = static_cast<float>(kr_[i]);
+      s.relPhase[i] = static_cast<float>(relPhase_[i]);
+      s.relSum[g] += std::abs(relPhase_[i]);
+      s.krSum[g] += kr_[i];
+      maxRel = std::max(maxRel, std::abs(relPhase_[i]));
+      maxKr = std::max(maxKr, kr_[i]);
+    }
+  }
+  constexpr size_t kBlock = kLanes<float>;
+  const size_t stride = (cols + kBlock - 1) / kBlock * kBlock;
+  if (enhanced) s.norms.resize(groups * stride);
+
+  constexpr double u = E::kUnit;
+  constexpr double kSqrt2 = std::numbers::sqrt2;
+  constexpr double kSlack = 1.0 + 0x1p-16;
+  const double slope = std::exp(-0.5) / sigmaPair_;
+  const double perEntry = slope * E::kCentredUlps * u + E::kExp +
+                          E::kWeightArgUlps * u + kSqrt2 * E::kSinCos + u;
+  const double toValue = kSlack / static_cast<double>(n);
+  for (size_t j = 0; j < scales.size(); ++j) {
+    const double aperture = 2.0 * std::abs(scales[j]);
+    double* const rowValues = values.data() + j * cols;
+    double* const rowBounds = bounds.data() + j * cols;
+    // The lane-free part of the bound, and whether scanning can pay: the
+    // one place a row is handed to the double re-check whole.
+    double aPriori = 0.0;
+    for (size_t g = 0; g < groups; ++g) {
+      const double m = static_cast<double>(groupStart_[g + 1] - groupStart_[g]);
+      const double phase =
+          u * (E::kPhaseUlps * (s.relSum[g] + aperture * s.krSum[g]) +
+               E::kPhaseFloorUlps * m);
+      const double sum =
+          kSqrt2 * m * (static_cast<double>(E::kChunk - 1) * u + m * 0x1p-52);
+      s.phasorErr[g] = phase + m * kSqrt2 * E::kSinCos + sum;
+      s.groupErr[g] = enhanced ? (slope + 1.0) * phase + m * perEntry + sum
+                               : s.phasorErr[g];
+      aPriori += std::min(m * kSlack, s.groupErr[g]);
+    }
+    aPriori *= toValue;
+    const bool scannable =
+        maxRel + aperture * maxKr <= E::kMaxPhase && aPriori < 0.5;
+    if (!scannable) {
+      std::fill(rowValues, rowValues + cols, 0.0);
+      std::fill(rowBounds, rowBounds + cols,
+                std::numeric_limits<double>::infinity());
+      continue;
+    }
+    entry(*this, Call<float>{s.cosA.data(), s.sinA.data(), s.kr.data(),
+                             s.relPhase.data(), angles.data(), cols,
+                             scales[j], rowValues, nullptr,
+                             enhanced ? s.norms.data() : nullptr, stride});
+    if (!enhanced) {
+      std::fill(rowBounds, rowBounds + cols, aPriori);
+      continue;
+    }
+    std::fill(rowBounds, rowBounds + cols, 0.0);
+    for (size_t g = 0; g < groups; ++g) {
+      const double m = static_cast<double>(groupStart_[g + 1] - groupStart_[g]);
+      const double* const groupNorms = s.norms.data() + g * stride;
+      for (size_t i = 0; i < cols; ++i) {
+        rowBounds[i] += std::min(
+            m * kSlack, s.groupErr[g] + slope * m * centreError(s.phasorErr[g],
+                                                               groupNorms[i]));
+      }
+    }
+    for (size_t i = 0; i < cols; ++i) rowBounds[i] *= toValue;
+  }
 }
 
 std::vector<double> PowerProfile::sampleAzimuth(size_t points,

@@ -30,7 +30,11 @@
 // directions evaluated per pass over the snapshots, inline polynomial
 // sin/cos/exp, and no heap allocation per call.  The kernel is compiled
 // once per instruction-set level and the widest level the CPU supports
-// runs; every level computes the same bits.
+// runs; every level computes the same bits.  The same kernel body also
+// runs in float (scanRect): a cheap scan of a whole rectangle of
+// directions whose every value carries a proven bound on its distance
+// from the double value, so a search can re-evaluate in double only the
+// cells that may hold the maximum.
 #pragma once
 
 #include <cstddef>
@@ -121,6 +125,29 @@ class PowerProfile {
                       double scale, std::span<double> out) const;
   WeightStats weightStatsOn(KernelIsa isa, double phi, double gamma) const;
 
+  /// The float32 rectangle scan (DESIGN.md section 11, "Float scan"): for
+  /// every aperture scale j and angle i, the profile evaluated in float
+  /// arithmetic in values[j * angles.size() + i], and in bounds[...] a
+  /// bound proven to hold |values - evaluateGrid's value at (angles[i],
+  /// scales[j])| <= bounds.  A row whose a-priori bound is useless (a
+  /// phase term beyond the float reductions' range, or at least half of
+  /// the spectrum's [0, 1] range) is not scanned: its values are 0 and
+  /// its bounds +infinity.  Values and bounds are the same bits at every
+  /// kernel level.  Allocation-free once the calling thread's scratch has
+  /// grown, and safe to call concurrently on one profile.  Throws
+  /// std::invalid_argument unless values and bounds both hold
+  /// angles.size() * scales.size() entries.
+  void scanRect(std::span<const double> angles,
+                std::span<const double> scales, std::span<double> values,
+                std::span<double> bounds) const;
+
+  /// scanRect at an explicit kernel level (the seam of the cross-level
+  /// tests and benchmarks); throws std::invalid_argument if
+  /// !kernelIsaSupported(isa).
+  void scanRectOn(KernelIsa isa, std::span<const double> angles,
+                  std::span<const double> scales, std::span<double> values,
+                  std::span<double> bounds) const;
+
   size_t snapshotCount() const { return cosA_.size(); }
   const ProfileConfig& config() const { return config_; }
 
@@ -133,24 +160,48 @@ class PowerProfile {
   // The per-level entry points (power_profile.cpp).
   struct Kernel;
 
+  /// One kernel call over the snapshot entries in value type T (the
+  /// profile's own arrays for double, a float copy for the scan):
+  /// `count` directions at one aperture scale.  With `sums` set
+  /// (count == 1), lane 0 also accumulates its likelihood weights; with
+  /// `norms` set (R only), |centroid| of group g at direction i goes to
+  /// norms[g * normStride + i], for the scan's bound.
+  template <class T>
+  struct Call {
+    const T* cosA;
+    const T* sinA;
+    const T* kr;
+    const T* relPhase;
+    const double* angles;
+    size_t count;
+    double scale;
+    double* out;
+    WeightSums* sums;
+    double* norms;
+    size_t normStride;
+  };
+
   // The kernel body.  Always inlined, so each entry point compiles its own
   // copy at its own instruction-set level; the attribute sits on these
   // first declarations so every declaration GCC sees carries it.
 
-  /// Evaluates `count` directions: blocks of kLanes plus a padded tail, or
-  /// one lane.  With `sums` set (count == 1), lane 0 also accumulates its
-  /// likelihood weights.
-  [[gnu::always_inline]] inline void evaluateAll(const double* angles,
-                                                 size_t count, double scale,
-                                                 double* out,
-                                                 WeightSums* sums) const;
+  /// Evaluates a call's directions: blocks of the type's lane count plus
+  /// a padded tail, or one lane.
+  template <class T>
+  [[gnu::always_inline]] inline void evaluateAll(const Call<T>& call) const;
 
-  /// Evaluates L directions in one pass over the snapshots; with `sums`
-  /// set, lane 0 also accumulates its likelihood weights.
-  template <size_t L>
-  [[gnu::always_inline]] inline void evaluateBlock(const double* angles,
-                                                   double scale, double* out,
-                                                   WeightSums* sums) const;
+  /// Evaluates the L directions `angles` (a block of the call's, or its
+  /// padded tail) in one pass over the snapshots, into `out`; R's
+  /// centroid magnitudes go to `norms` when set.
+  template <class T, size_t L>
+  [[gnu::always_inline]] inline void evaluateBlock(const Call<T>& call,
+                                                   const double* angles,
+                                                   double* out,
+                                                   double* norms) const;
+
+  /// The call evaluateGrid makes on the profile's own (double) entries.
+  Call<double> doubleCall(const double* angles, size_t count, double scale,
+                          double* out, WeightSums* sums) const;
 
   ProfileConfig config_;
   double sigmaPair_ = 0.0;

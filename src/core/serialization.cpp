@@ -452,12 +452,10 @@ DeploymentFile readDeployment(std::istream& in) {
   return deploymentFromString(slurp(in));
 }
 
-std::string checkpointToString(const CalibrationCheckpoint& ckpt) {
-  // Sized once: untouched reserved pages never become resident, while
-  // growth by doubling would copy the text and leave the old buffers
-  // behind in the heap.  The slack (the header and [last_fix] take far
-  // less than their 16 lines) also lets CheckpointStore::frame put its
-  // header in front of the text without reallocating.
+size_t checkpointSizeBound(const CalibrationCheckpoint& ckpt) {
+  // The slack (the header and [last_fix] take far less than their 16
+  // lines) also lets CheckpointStore::frame put its header in front of the
+  // text without reallocating.
   size_t bound = 16 * kMaxLine;
   for (const auto& [epc, tag] : ckpt.tags) {
     bound += (3 + tag.snapshots.size()) * kMaxLine +
@@ -466,8 +464,20 @@ std::string checkpointToString(const CalibrationCheckpoint& ckpt) {
       bound += (2 * tag.orientationModel.series().order() + 4) * kMaxLine;
     }
   }
+  return bound;
+}
+
+std::string checkpointToString(const CalibrationCheckpoint& ckpt) {
+  // Sized once: untouched reserved pages never become resident, while
+  // growth by doubling would copy the text and leave the old buffers
+  // behind in the heap.
   std::string text;
-  text.reserve(bound);
+  text.reserve(checkpointSizeBound(ckpt));
+  appendCheckpoint(text, ckpt);
+  return text;
+}
+
+void appendCheckpoint(std::string& text, const CalibrationCheckpoint& ckpt) {
   TextOut out(text);
   out << "# Tagspin calibration checkpoint\n";
   out << "[checkpoint]\n";
@@ -511,7 +521,6 @@ std::string checkpointToString(const CalibrationCheckpoint& ckpt) {
       writeModelBody(out, tag.orientationModel);
     }
   }
-  return text;
 }
 
 void writeCheckpoint(std::ostream& out, const CalibrationCheckpoint& ckpt) {

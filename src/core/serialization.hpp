@@ -102,6 +102,12 @@ struct CalibrationCheckpoint {
 void writeCheckpoint(std::ostream& out, const CalibrationCheckpoint& ckpt);
 CalibrationCheckpoint readCheckpoint(std::istream& in);
 std::string checkpointToString(const CalibrationCheckpoint& ckpt);
+/// checkpointToString's text appended to `text`, which it does not
+/// reserve; checkpointSizeBound bounds the text's length (with room for
+/// CheckpointStore::frame's header), so a caller that writes several
+/// checkpoints into one buffer can size it once.
+void appendCheckpoint(std::string& text, const CalibrationCheckpoint& ckpt);
+size_t checkpointSizeBound(const CalibrationCheckpoint& ckpt);
 CalibrationCheckpoint checkpointFromString(std::string_view text);
 
 }  // namespace tagspin::core

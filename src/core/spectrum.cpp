@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
@@ -50,20 +51,43 @@ AzimuthEstimate refineAzimuthNear(const PowerProfile& profile, double seedRad,
   return {geom::wrapTwoPi(best.x), best.value};
 }
 
-SpatialEstimate estimateSpatial(const PowerProfile& profile,
-                                const SearchConfig& search) {
+dsp::RectGrid spatialSearchGrid(const SearchConfig& search) {
   // The profile depends on gamma only through cos(gamma), so it is exactly
   // mirror-symmetric about the horizontal plane (the paper's two symmetric
   // peaks); searching the non-negative half suffices.
   const double lo = std::max(search.polarMin, 0.0);
   const double hi = std::max(search.polarMax, lo);
-  const auto best = dsp::maximizeRect(
-      [&](std::span<const double> phis, double gamma, std::span<double> out) {
-        profile.evaluateGrid(phis, std::cos(gamma), out);
-      },
-      lo, hi, search.azimuthGridPoints / 2,
-      std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds);
-  return {best.x, std::abs(best.y), best.value};
+  return {lo, hi, search.azimuthGridPoints / 2,
+          std::max<size_t>(search.polarGridPoints / 2, 2)};
+}
+
+SpatialEstimate estimateSpatial(const PowerProfile& profile,
+                                const SearchConfig& search) {
+  return estimateSpatialOn(activeKernelIsa(), profile, search);
+}
+
+SpatialEstimate estimateSpatialOn(KernelIsa isa, const PowerProfile& profile,
+                                  const SearchConfig& search) {
+  const dsp::RectGrid grid = spatialSearchGrid(search);
+  const auto rows = [&](std::span<const double> phis, double gamma,
+                        std::span<double> out) {
+    profile.evaluateGridOn(isa, phis, std::cos(gamma), out);
+  };
+  const std::vector<double> angles = dsp::circularGrid(grid.nx);
+  std::vector<double> scales(grid.ny);
+  for (size_t j = 0; j < grid.ny; ++j) scales[j] = std::cos(grid.y(j));
+  std::vector<double> values(grid.nx * grid.ny);
+  std::vector<double> bounds(values.size());
+  profile.scanRectOn(isa, angles, scales, values, bounds);
+  SpatialEstimate est;
+  const dsp::GridMax2D cell =
+      dsp::screenRect(rows, grid, values, bounds, &est.recheckedCells);
+  const dsp::GridMax2D best =
+      dsp::refineRect(rows, grid, cell, search.refineRounds);
+  est.azimuth = best.x;
+  est.polar = std::abs(best.y);
+  est.value = best.value;
+  return est;
 }
 
 }  // namespace tagspin::core

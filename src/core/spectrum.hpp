@@ -11,6 +11,7 @@
 
 #include "core/config.hpp"
 #include "core/power_profile.hpp"
+#include "dsp/grid.hpp"
 
 namespace tagspin::core {
 
@@ -23,6 +24,10 @@ struct SpatialEstimate {
   double azimuth = 0.0;
   double polar = 0.0;  // reported as |gamma| in [0, pi/2]
   double value = 0.0;
+  /// Grid cells the search evaluated in double after the float scan
+  /// (DESIGN.md section 11): the cells whose scan interval could hold the
+  /// grid maximum.
+  size_t recheckedCells = 0;
 };
 
 /// One rig's azimuth spectrum for one calibration pass: the profile sampled
@@ -48,8 +53,24 @@ AzimuthEstimate estimateAzimuth(const PowerProfile& profile,
 AzimuthEstimate estimateAzimuthCoarseFine(const PowerProfile& profile,
                                           const SearchConfig& search);
 
+/// The 3D search's grid: search.azimuthGridPoints / 2 azimuths on
+/// [0, 2*pi) by max(search.polarGridPoints / 2, 2) polar rows on the
+/// non-negative part of [polarMin, polarMax].
+dsp::RectGrid spatialSearchGrid(const SearchConfig& search);
+
+/// The 3D search: the (azimuth, polar >= 0) grid maximum of the profile,
+/// refined -- dsp::maximizeRect's result on evaluateGrid, bit for bit.  The
+/// grid is scanned in float (PowerProfile::scanRect) and only the cells
+/// whose bounded scan value could be the maximum are evaluated in double
+/// (dsp::screenRect) before the refinement.
 SpatialEstimate estimateSpatial(const PowerProfile& profile,
                                 const SearchConfig& search);
+
+/// estimateSpatial with every evaluation at an explicit kernel level (the
+/// seam of the cross-level tests and benchmarks); throws
+/// std::invalid_argument if !kernelIsaSupported(isa).
+SpatialEstimate estimateSpatialOn(KernelIsa isa, const PowerProfile& profile,
+                                  const SearchConfig& search);
 
 /// Locally refine an azimuth around `seedRad` within +-halfSpanRad (dense
 /// local grid plus the same halving zoom estimateAzimuth finishes with).

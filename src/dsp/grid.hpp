@@ -2,7 +2,9 @@
 //
 // The angle spectrum is a smooth function of the candidate direction; the
 // paper traverses "all possible angles" on a grid.  We provide the exhaustive
-// traversal plus a coarse-to-fine refinement used by the perf ablation.
+// traversal, a coarse-to-fine refinement used by the perf ablation, and
+// for the rectangle a screened traversal (screenRect) that evaluates only
+// the cells a bounded cheap approximation cannot rule out.
 //
 // The searches hand their points to the objective in batches -- the whole
 // grid, then one batch per refine round -- so a batched evaluator such as
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <concepts>
+#include <limits>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -152,43 +155,45 @@ CircularMax maximizeCircular(F&& f, size_t n = 720, int refineRounds = 6) {
   return result;
 }
 
-/// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an
-/// (nx x ny) grid with local refinement; used for the (azimuth, polar)
-/// spectrum of section V-B.  The grid is evaluated one batch per y row; the
-/// refinement places each candidate relative to the running best, so it
-/// evaluates one point at a time.
+/// The (nx x ny) grid of the rectangle searches: x_i = circularGridAngle(i,
+/// nx) on [0, 2*pi), y_j = ymin + j * ystep on [ymin, ymax].  Values are
+/// stored row by row, cell (i, j) at j * nx + i.
+struct RectGrid {
+  RectGrid(double yLo, double yHi, size_t columns, size_t rows)
+      : ymin(yLo),
+        ymax(yHi),
+        nx(std::max<size_t>(columns, 1)),
+        ny(std::max<size_t>(rows, 1)),
+        xstep(2.0 * std::numbers::pi / static_cast<double>(columns)),
+        ystep(rows > 1 ? (yHi - yLo) / static_cast<double>(rows - 1) : 0.0) {}
+
+  double y(size_t j) const { return ymin + static_cast<double>(j) * ystep; }
+
+  double ymin;
+  double ymax;
+  size_t nx;
+  size_t ny;
+  double xstep;
+  double ystep;
+};
+
+/// maximizeRect's refinement of a grid maximum: `rounds` rounds of the 5x5
+/// stencil around the running best, each candidate evaluated one point at
+/// a time (its place depends on the running best); the stencil halves every
+/// round.  Returns the best with x wrapped to [0, 2*pi).
 template <RectObjective F>
-GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
-                       size_t ny = 91, int refineRounds = 6) {
+GridMax2D refineRect(F&& f, const RectGrid& grid, GridMax2D best,
+                     int rounds) {
   auto row = detail::asRows(f);
-  const double twoPi = 2.0 * std::numbers::pi;
-  const double xstep = twoPi / static_cast<double>(nx);
-  const double ystep = ny > 1 ? (ymax - ymin) / static_cast<double>(ny - 1) : 0.0;
-  const std::vector<double> xs = circularGrid(std::max<size_t>(nx, 1));
-  const size_t rows = std::max<size_t>(ny, 1);
-  std::vector<double> values(xs.size() * rows);
-  for (size_t j = 0; j < rows; ++j) {
-    row(xs, ymin + static_cast<double>(j) * ystep,
-        std::span(values).subspan(j * xs.size(), xs.size()));
-  }
-  GridMax2D best{xs[0], ymin, values[0]};
-  for (size_t i = 0; i < xs.size(); ++i) {
-    for (size_t j = 0; j < rows; ++j) {
-      const double v = values[j * xs.size() + i];
-      if (v > best.value) {
-        best = {xs[i], ymin + static_cast<double>(j) * ystep, v};
-      }
-    }
-  }
-  double hx = xstep;
-  double hy = std::max(ystep, 1e-6);
-  for (int round = 0; round < refineRounds; ++round) {
+  double hx = grid.xstep;
+  double hy = std::max(grid.ystep, 1e-6);
+  for (int round = 0; round < rounds; ++round) {
     for (int dx = -2; dx <= 2; ++dx) {
       for (int dy = -2; dy <= 2; ++dy) {
         if (dx == 0 && dy == 0) continue;
         const double x = best.x + dx * hx / 2.0;
         double y = best.y + dy * hy / 2.0;
-        if (y < ymin || y > ymax) continue;
+        if (y < grid.ymin || y > grid.ymax) continue;
         double v = 0.0;
         row({&x, 1}, y, {&v, 1});
         if (v > best.value) best = {x, y, v};
@@ -197,7 +202,101 @@ GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
     hx /= 2.0;
     hy /= 2.0;
   }
+  const double twoPi = 2.0 * std::numbers::pi;
   best.x = std::fmod(best.x + twoPi, twoPi);
+  return best;
+}
+
+/// Maximisation over the rectangle [0, 2*pi) x [ymin, ymax] on an
+/// (nx x ny) grid with local refinement; used for the (azimuth, polar)
+/// spectrum of section V-B.  The grid is evaluated one batch per y row.
+/// The grid maximum is the first strict maximum in azimuth-major order --
+/// azimuth outer, row inner, starting at cell (0, 0) -- and refineRect
+/// polishes it.
+template <RectObjective F>
+GridMax2D maximizeRect(F&& f, double ymin, double ymax, size_t nx = 360,
+                       size_t ny = 91, int refineRounds = 6) {
+  auto row = detail::asRows(f);
+  const RectGrid grid(ymin, ymax, nx, ny);
+  const std::vector<double> xs = circularGrid(grid.nx);
+  std::vector<double> values(grid.nx * grid.ny);
+  for (size_t j = 0; j < grid.ny; ++j) {
+    row(xs, grid.y(j), std::span(values).subspan(j * grid.nx, grid.nx));
+  }
+  GridMax2D best{xs[0], ymin, values[0]};
+  for (size_t i = 0; i < grid.nx; ++i) {
+    for (size_t j = 0; j < grid.ny; ++j) {
+      const double v = values[j * grid.nx + i];
+      if (v > best.value) best = {xs[i], grid.y(j), v};
+    }
+  }
+  return refineRect(row, grid, best, refineRounds);
+}
+
+/// maximizeRect's grid maximum, found from screening values (DESIGN.md
+/// section 11, "Float scan"): `approx` holds an approximation of f at every
+/// grid cell (row by row, like RectGrid) and `bound` a bound on its error,
+/// |approx - f| <= bound.  With L the largest approx - bound over the
+/// cells, only the candidates -- cells with approx + bound >= L, and every
+/// cell whose approx or bound is not finite -- are evaluated with f, one
+/// batch per row; the grid maximum among them, in maximizeRect's order, is
+/// maximizeRect's grid maximum whenever the bounds hold: every cell that
+/// can tie the maximum is a candidate.  `candidates` (if set) receives the
+/// number of cells evaluated.  Zero bounds evaluate the cells that tie the
+/// approximate maximum; infinite bounds evaluate the whole grid.
+template <RectObjective F>
+GridMax2D screenRect(F&& f, const RectGrid& grid,
+                     std::span<const double> approx,
+                     std::span<const double> bound,
+                     size_t* candidates = nullptr) {
+  auto row = detail::asRows(f);
+  const size_t cells = grid.nx * grid.ny;
+  double floor = -std::numeric_limits<double>::infinity();
+  for (size_t c = 0; c < cells; ++c) {
+    if (std::isfinite(approx[c]) && std::isfinite(bound[c])) {
+      floor = std::max(floor, approx[c] - bound[c]);
+    }
+  }
+  // exact[c] is f at each candidate and NaN elsewhere; `picked` marks the
+  // candidates, so a candidate whose f is NaN is still told apart.
+  std::vector<double> exact(cells, std::numeric_limits<double>::quiet_NaN());
+  std::vector<unsigned char> picked(cells, 0);
+  std::vector<double> xs;
+  std::vector<double> out;
+  size_t evaluated = 0;
+  for (size_t j = 0; j < grid.ny; ++j) {
+    xs.clear();
+    for (size_t i = 0; i < grid.nx; ++i) {
+      const size_t c = j * grid.nx + i;
+      const bool finite = std::isfinite(approx[c]) && std::isfinite(bound[c]);
+      if (!finite || approx[c] + bound[c] >= floor) {
+        picked[c] = 1;
+        xs.push_back(circularGridAngle(i, grid.nx));
+      }
+    }
+    if (xs.empty()) continue;
+    out.resize(xs.size());
+    row(xs, grid.y(j), out);
+    evaluated += xs.size();
+    for (size_t i = 0, k = 0; i < grid.nx; ++i) {
+      if (picked[j * grid.nx + i]) exact[j * grid.nx + i] = out[k++];
+    }
+  }
+  if (candidates != nullptr) *candidates = evaluated;
+  // maximizeRect starts from cell (0, 0).  A cell outside the candidates
+  // lies below L, and some candidate reaches L, so starting below every
+  // value instead picks the same cell.
+  GridMax2D best{circularGridAngle(0, grid.nx), grid.ymin,
+                 picked[0] ? exact[0]
+                           : -std::numeric_limits<double>::infinity()};
+  for (size_t i = 0; i < grid.nx; ++i) {
+    for (size_t j = 0; j < grid.ny; ++j) {
+      const size_t c = j * grid.nx + i;
+      if (picked[c] && exact[c] > best.value) {
+        best = {circularGridAngle(i, grid.nx), grid.y(j), exact[c]};
+      }
+    }
+  }
   return best;
 }
 

@@ -759,20 +759,36 @@ std::string FleetManager::shardCheckpointPath(size_t shardIndex) const {
 }
 
 void FleetManager::writeShardCheckpoint(Shard& shard, double nowS) {
-  std::string payload = "fleet-shard v1\nshard " +
-                        std::to_string(shard.index) + "\nsessions " +
-                        std::to_string(shard.members.size()) + "\n";
+  // Every member's text is written straight into the payload, which is
+  // sized once for all of them; a member's "session <name-len> <text-len>"
+  // line goes in front of its name and text once the text's length is
+  // known.
+  std::vector<core::CalibrationCheckpoint> checkpoints;
+  checkpoints.reserve(shard.members.size());
+  constexpr size_t kLineBound = 64;  // the shard header's lines, a session's
+  size_t bound = 3 * kLineBound;
   for (const auto& member : shard.members) {
-    const std::string slice =
-        core::checkpointToString(member->supervisor->makeCheckpoint(nowS));
-    payload += "session ";
-    payload += std::to_string(member->name.size());
-    payload += ' ';
-    payload += std::to_string(slice.size());
-    payload += '\n';
-    payload += member->name;
-    payload += slice;
+    checkpoints.push_back(member->supervisor->makeCheckpoint(nowS));
+    bound += kLineBound + member->name.size() +
+             core::checkpointSizeBound(checkpoints.back());
   }
+  std::string payload;
+  payload.reserve(bound);
+  payload += "fleet-shard v1\nshard ";
+  payload += std::to_string(shard.index);
+  payload += "\nsessions ";
+  payload += std::to_string(shard.members.size());
+  payload += '\n';
+  for (size_t k = 0; k < checkpoints.size(); ++k) {
+    const std::string& name = shard.members[k]->name;
+    const size_t start = payload.size();
+    payload += name;
+    core::appendCheckpoint(payload, checkpoints[k]);
+    const size_t textSize = payload.size() - start - name.size();
+    payload.insert(start, "session " + std::to_string(name.size()) + ' ' +
+                              std::to_string(textSize) + '\n');
+  }
+  checkpoints.clear();
   const std::string framed = CheckpointStore::frame(std::move(payload));
   // The framed image is the checkpoint path's allocation spike; reserve it
   // before writing and *refuse the save* on denial -- a skipped checkpoint

@@ -1,7 +1,8 @@
-// The batched spectrum kernel's resource contract: a sweep makes no heap
-// allocation once the calling thread's scratch has grown, and concurrent
-// const calls on one profile return exactly what a single thread gets --
-// through the public entry points and at every kernel level.
+// The batched spectrum kernel's resource contract: a sweep or a float scan
+// makes no heap allocation once the calling thread's scratch has grown,
+// and concurrent const calls on one profile return exactly what a single
+// thread gets -- through the public entry points and at every kernel
+// level.
 //
 // This binary replaces the global operator new with a counting one, so it
 // is its own executable.  It carries the `tsan` label: the concurrent test
@@ -9,6 +10,7 @@
 // thread_local scratch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
@@ -87,6 +89,15 @@ struct Route {
     return level ? profile.weightStatsOn(*level, phi, gamma)
                  : profile.weightStats(phi, gamma);
   }
+  void scan(const PowerProfile& profile, std::span<const double> angles,
+            std::span<const double> scales, std::span<double> values,
+            std::span<double> bounds) const {
+    if (level) {
+      profile.scanRectOn(*level, angles, scales, values, bounds);
+    } else {
+      profile.scanRect(angles, scales, values, bounds);
+    }
+  }
 };
 
 void expectNoHeapAllocationAfterWarmUp(const Route& route) {
@@ -149,6 +160,80 @@ void expectConcurrentSweepsMatchSingleThreaded(const Route& route) {
   }
 }
 
+/// A float scan's output: one value and one bound per cell.
+struct Scan {
+  std::vector<double> values;
+  std::vector<double> bounds;
+
+  Scan(size_t cells) : values(cells), bounds(cells) {}
+
+  bool operator==(const Scan& other) const {
+    const size_t bytes = values.size() * sizeof(double);
+    return values.size() == other.values.size() &&
+           std::memcmp(values.data(), other.values.data(), bytes) == 0 &&
+           std::memcmp(bounds.data(), other.bounds.data(), bytes) == 0;
+  }
+};
+
+void expectScanMakesNoHeapAllocationAfterWarmUp(const Route& route) {
+  const auto snaps = hoppingSnapshots();
+  const std::vector<double> angles = dsp::circularGrid(360);
+  const std::vector<double> scales = {1.0, std::cos(0.5), std::cos(1.2)};
+  Scan scan(angles.size() * scales.size());
+  for (const auto formula :
+       {ProfileFormula::kClassicalP, ProfileFormula::kRelativeQ,
+        ProfileFormula::kEnhancedR}) {
+    const PowerProfile profile(snaps, testing::defaultKinematics(),
+                               configFor(formula));
+    route.scan(profile, angles, scales, scan.values, scan.bounds);  // warm-up
+    const size_t before = gAllocations.load();
+    route.scan(profile, angles, scales, scan.values, scan.bounds);
+    EXPECT_EQ(gAllocations.load() - before, 0u)
+        << "formula " << static_cast<int>(formula);
+    EXPECT_TRUE(std::isfinite(scan.values[7] + scan.bounds[7]));
+  }
+}
+
+void expectConcurrentScansMatchSingleThreaded(const Route& route) {
+  const auto snaps = hoppingSnapshots();
+  const std::vector<double> angles = dsp::circularGrid(360);
+  const std::vector<std::vector<double>> scales = {
+      {1.0, std::cos(0.3)}, {std::cos(0.7)}, {std::cos(1.1), 0.2, 1.0}};
+  for (const auto formula :
+       {ProfileFormula::kRelativeQ, ProfileFormula::kEnhancedR}) {
+    const PowerProfile profile(snaps, testing::defaultKinematics(),
+                               configFor(formula));
+    std::vector<Scan> expected;
+    for (const auto& rows : scales) {
+      expected.emplace_back(angles.size() * rows.size());
+      route.scan(profile, angles, rows, expected.back().values,
+                 expected.back().bounds);
+    }
+    constexpr size_t kThreads = 4;
+    std::vector<std::vector<Scan>> got(kThreads, expected);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (size_t k = 0; k < scales.size(); ++k) {
+          // Each thread walks the rectangles in its own order.
+          const size_t r = (k + t) % scales.size();
+          Scan& out = got[t][r];
+          std::fill(out.values.begin(), out.values.end(), -1.0);
+          route.scan(profile, angles, scales[r], out.values, out.bounds);
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    for (size_t t = 0; t < kThreads; ++t) {
+      for (size_t r = 0; r < scales.size(); ++r) {
+        EXPECT_TRUE(got[t][r] == expected[r])
+            << "formula " << static_cast<int>(formula) << " thread " << t
+            << " rectangle " << r;
+      }
+    }
+  }
+}
+
 TEST(ProfileContract, SweepMakesNoHeapAllocationAfterWarmUp) {
   expectNoHeapAllocationAfterWarmUp({});
 }
@@ -167,6 +252,32 @@ TEST_P(KernelIsaContract, SweepMakesNoHeapAllocationAfterWarmUp) {
 TEST_P(KernelIsaContract, ConcurrentSweepsMatchSingleThreadedBitForBit) {
   expectConcurrentSweepsMatchSingleThreaded({GetParam()});
 }
+
+TEST(ProfileContract, ScanMakesNoHeapAllocationAfterWarmUp) {
+  expectScanMakesNoHeapAllocationAfterWarmUp({});
+}
+
+TEST(ProfileContract, ConcurrentScansMatchSingleThreadedBitForBit) {
+  expectConcurrentScansMatchSingleThreaded({});
+}
+
+// The float scan's contract at every level: the RectScan instantiation
+// runs with the cross-level scan tests (ctest -R RectScan).
+using RectScanContract = testing::PerKernelLevel;
+
+TEST_P(RectScanContract, ScanMakesNoHeapAllocationAfterWarmUp) {
+  expectScanMakesNoHeapAllocationAfterWarmUp({GetParam()});
+}
+
+TEST_P(RectScanContract, ConcurrentScansMatchSingleThreadedBitForBit) {
+  expectConcurrentScansMatchSingleThreaded({GetParam()});
+}
+
+INSTANTIATE_TEST_SUITE_P(RectScan, RectScanContract,
+                         ::testing::Values(KernelIsa::kBaseline,
+                                           KernelIsa::kX86_64_V3,
+                                           KernelIsa::kX86_64_V4),
+                         testing::kernelLevelTestName);
 
 INSTANTIATE_TEST_SUITE_P(KernelIsa, KernelIsaContract,
                          ::testing::Values(KernelIsa::kBaseline,

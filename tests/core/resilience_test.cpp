@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/errors.hpp"
+#include "core/power_profile.hpp"
+#include "core/spectrum.hpp"
 #include "core/tagspin.hpp"
 #include "eval/estimators.hpp"
 #include "geom/angles.hpp"
@@ -106,6 +108,32 @@ TEST(Resilience, CleanStream3DIsBitIdenticalToStrictPath) {
   EXPECT_EQ(res->fix.position.x, strict.position.x);
   EXPECT_EQ(res->fix.position.y, strict.position.y);
   EXPECT_EQ(res->fix.position.z, strict.position.z);
+}
+
+TEST(Resilience, ThreeDFixCountsTheCellsItsSearchesRechecked) {
+  // locator.spatial_rechecked_cells adds up each 3D search's re-checked
+  // cells: here one search per rig (no orientation model, one pass).
+  sim::World world = makeThreeRigWorld(23);
+  disableInterference(world);
+  const auto reports = interrogateAt(world, {-0.4, 2.1, 0.6});
+  obs::MetricsRegistry registry;
+  core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
+  server.setMetrics(&registry);
+  ASSERT_TRUE(server.tryLocate2D(reports));
+  EXPECT_EQ(registry.snapshot().counterValue("locator.spatial_rechecked_cells"),
+            0u);
+  ASSERT_TRUE(server.tryLocate3D(reports));
+  uint64_t want = 0;
+  for (const core::RigObservation& o :
+       server.collectObservationsRobust(reports)) {
+    const core::PowerProfile profile(o.snapshots, o.rig.kinematics,
+                                     server.locator().config().profile);
+    want += core::estimateSpatial(profile, server.locator().config().search)
+                .recheckedCells;
+  }
+  EXPECT_GT(want, 0u);
+  EXPECT_EQ(registry.snapshot().counterValue("locator.spatial_rechecked_cells"),
+            want);
 }
 
 /// The ways one report can carry a non-finite field.

@@ -10,12 +10,15 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "geom/angles.hpp"
 #include "rfid/llrp.hpp"
+#include "core/serialization.hpp"
 #include "runtime/checkpoint.hpp"
 
 namespace tagspin::runtime {
@@ -324,6 +327,91 @@ TEST(Fleet, MultiShardKillAndRestoreRecoversEverySession) {
   }
   EXPECT_EQ(resumed.stats().checkpointFailures, 0u);
 
+  std::filesystem::remove_all(dir);
+}
+
+/// A shard checkpoint's payload assembled the way FleetManager once did:
+/// each member's text built in its own string, then appended after its
+/// "session <name-len> <text-len>" line.  Kept as the byte oracle.
+std::string oldShardPayload(size_t shardIndex,
+                            const std::vector<std::string>& names,
+                            const FleetManager& fleet, double nowS) {
+  std::string payload = "fleet-shard v1\nshard " +
+                        std::to_string(shardIndex) + "\nsessions " +
+                        std::to_string(names.size()) + "\n";
+  for (const std::string& name : names) {
+    const std::string slice =
+        core::checkpointToString(fleet.supervisor(name)->makeCheckpoint(nowS));
+    payload += "session ";
+    payload += std::to_string(name.size());
+    payload += ' ';
+    payload += std::to_string(slice.size());
+    payload += '\n';
+    payload += name;
+    payload += slice;
+  }
+  return payload;
+}
+
+/// The session names of a shard payload, in file order.
+std::vector<std::string> sessionNames(const std::string& payload) {
+  std::vector<std::string> names;
+  size_t pos = 0;
+  while ((pos = payload.find("session ", pos)) != std::string::npos) {
+    size_t nameLen = 0;
+    size_t textLen = 0;
+    int consumed = 0;
+    if (std::sscanf(payload.c_str() + pos, "session %zu %zu\n%n", &nameLen,
+                    &textLen, &consumed) != 2) {
+      break;
+    }
+    pos += static_cast<size_t>(consumed);
+    names.push_back(payload.substr(pos, nameLen));
+    pos += nameLen + textLen;
+  }
+  return names;
+}
+
+TEST(Fleet, ShardCheckpointBytesMatchTheOldAssembly) {
+  // Seeded sessions of different sizes over 2 shards: every shard file
+  // must be byte for byte what the per-member-string assembly wrote.
+  const std::string dir = tempDir("tagspin_fleet_bytes");
+  FleetConfig config = testFleetConfig();
+  config.shards = 2;
+  config.maxSessions = 7;
+  config.checkpointDir = dir;
+  FleetManager fleet(config, twoRigDeployment());
+  std::mt19937 rng(31);
+  for (int i = 0; i < 7; ++i) {
+    const int reports = 1 + static_cast<int>(rng() % 40);
+    const double baseT = 3.0 * i + 0.001 * static_cast<double>(rng() % 997);
+    fleet.registerSession("session-" + std::to_string(i * i), [=] {
+      auto t = std::make_unique<OneShotTransport>();
+      t->frame = frameWith(reports, baseT);
+      return t;
+    });
+  }
+  fleet.tick(0.0);
+  fleet.tick(0.1);
+  const double nowS = 0.25;
+  fleet.shutdown(nowS);
+  size_t sessions = 0;
+  for (size_t shard = 0; shard < 2; ++shard) {
+    std::ifstream in(dir + "/fleet_shard" + std::to_string(shard) + ".ckpt",
+                     std::ios::binary);
+    ASSERT_TRUE(in) << "shard " << shard;
+    const std::string file((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    const auto payload = CheckpointStore::unframe(file);
+    ASSERT_TRUE(payload) << "shard " << shard;
+    const std::vector<std::string> names = sessionNames(*payload);
+    sessions += names.size();
+    EXPECT_EQ(file, CheckpointStore::frame(
+                        oldShardPayload(shard, names, fleet, nowS)))
+        << "shard " << shard;
+  }
+  EXPECT_EQ(sessions, 7u);
+  EXPECT_EQ(fleet.stats().checkpointFailures, 0u);
   std::filesystem::remove_all(dir);
 }
 
