@@ -2,9 +2,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
-#include "geom/angles.hpp"
 #include "robust/consensus.hpp"
 #include "robust/spectrum_diag.hpp"
 
@@ -38,9 +36,7 @@ struct ProfileConfig {
 struct SearchConfig {
   size_t azimuthGridPoints = 720;  // 0.5 degree raw grid
   int refineRounds = 6;
-  size_t polarGridPoints = 61;     // 3D search over gamma
-  double polarMin = -geom::kPi / 2.0;
-  double polarMax = geom::kPi / 2.0;
+  size_t polarGridPoints = 61;     // 3D search over gamma in [-pi/2, pi/2]
 };
 
 /// Which half-space the reader is known to occupy; resolves the +-z
@@ -60,11 +56,10 @@ struct RobustEstimationConfig {
   /// consensus voting over candidate peaks plus IRLS refinement.  Clean
   /// spectra reduce to the unweighted solution.
   bool consensus = true;
-  /// Bootstrap a confidence ellipse for each fix (extra profile builds per
-  /// rig; off by default, enabled by the serve runtime and benches).
+  /// Bootstrap a 90% confidence ellipse for each fix (8 half-sample
+  /// bearing re-estimates per rig, robust::BootstrapConfig's replicates and
+  /// seed; off by default, enabled by the serve runtime and benches).
   bool bootstrap = false;
-  /// Half-sample bearing re-estimates per rig feeding the bootstrap.
-  int bearingSubsamples = 8;
   /// Resample the ray set as well as the bearings (pairs bootstrap).  The
   /// bearing-only scheme is calibrated to estimator noise, but in the
   /// field each rig also carries its own multipath bias, which half-sample
@@ -72,9 +67,6 @@ struct RobustEstimationConfig {
   /// resampling folds that between-rig disagreement into the region, at
   /// the cost of conservatism (over-coverage) when the rays are clean.
   bool pairsBootstrap = true;
-  int bootstrapReplicates = 160;
-  double confidenceLevel = 0.90;
-  uint64_t bootstrapSeed = 0xB0075;
   robust::SpinDiagnosticsConfig diagnosticsConfig;
   robust::ConsensusConfig consensusConfig;
 };

@@ -9,8 +9,12 @@ namespace tagspin::core {
 
 namespace {
 
+constexpr int kMaxIterations = 100;
+/// Closer than this, the estimate sits on a data point / has converged.
+constexpr double kToleranceM = 1e-6;
+
 template <typename Vec>
-Vec weiszfeld(std::span<const Vec> points, const FusionConfig& config) {
+Vec weiszfeld(std::span<const Vec> points) {
   if (points.empty()) {
     throw std::invalid_argument("geometricMedian: empty input");
   }
@@ -20,13 +24,13 @@ Vec weiszfeld(std::span<const Vec> points, const FusionConfig& config) {
   for (const Vec& p : points) estimate += p;
   estimate = estimate / static_cast<double>(points.size());
 
-  for (int it = 0; it < config.maxIterations; ++it) {
+  for (int it = 0; it < kMaxIterations; ++it) {
     Vec acc{};
     double wAcc = 0.0;
     bool onDataPoint = false;
     for (const Vec& p : points) {
       const double d = geom::distance(estimate, p);
-      if (d < config.toleranceM) {
+      if (d < kToleranceM) {
         // Weiszfeld guard: the estimate sits on a data point; it is the
         // median iff the sum of unit vectors to the others has norm <= 1.
         onDataPoint = true;
@@ -42,7 +46,7 @@ Vec weiszfeld(std::span<const Vec> points, const FusionConfig& config) {
       // Pull slightly toward the data point it sits on (standard fix).
       next = (next + estimate) / 2.0;
     }
-    if (geom::distance(next, estimate) < config.toleranceM) return next;
+    if (geom::distance(next, estimate) < kToleranceM) return next;
     estimate = next;
   }
   return estimate;
@@ -60,14 +64,12 @@ double medianOf(std::vector<double> xs) {
 
 }  // namespace
 
-geom::Vec2 geometricMedian(std::span<const geom::Vec2> points,
-                           const FusionConfig& config) {
-  return weiszfeld(points, config);
+geom::Vec2 geometricMedian(std::span<const geom::Vec2> points) {
+  return weiszfeld(points);
 }
 
-geom::Vec3 geometricMedian(std::span<const geom::Vec3> points,
-                           const FusionConfig& config) {
-  return weiszfeld(points, config);
+geom::Vec3 geometricMedian(std::span<const geom::Vec3> points) {
+  return weiszfeld(points);
 }
 
 geom::Vec2 componentMedian(std::span<const geom::Vec2> points) {

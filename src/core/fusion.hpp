@@ -14,18 +14,11 @@
 
 namespace tagspin::core {
 
-struct FusionConfig {
-  int maxIterations = 100;
-  double toleranceM = 1e-6;
-};
-
 /// Geometric median (Weiszfeld's algorithm with the standard fixed-point
-/// guard).  One point returns itself; throws std::invalid_argument on an
-/// empty span.
-geom::Vec2 geometricMedian(std::span<const geom::Vec2> points,
-                           const FusionConfig& config = {});
-geom::Vec3 geometricMedian(std::span<const geom::Vec3> points,
-                           const FusionConfig& config = {});
+/// guard; at most 100 iterations, converged at a 1 um step).  One point
+/// returns itself; throws std::invalid_argument on an empty span.
+geom::Vec2 geometricMedian(std::span<const geom::Vec2> points);
+geom::Vec3 geometricMedian(std::span<const geom::Vec3> points);
 
 /// Componentwise median; cheaper, nearly as robust for small batches.
 geom::Vec2 componentMedian(std::span<const geom::Vec2> points);

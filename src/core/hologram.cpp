@@ -9,11 +9,18 @@
 
 namespace tagspin::core {
 
+namespace {
+
+/// locate(): the coarse pass's grid step, then halving 8-neighbour rounds.
+constexpr double kCoarseStepM = 0.05;
+constexpr int kRefineRounds = 8;
+
+}  // namespace
+
 Hologram::Hologram(std::span<const RigObservation> observations,
                    HologramConfig config)
     : config_(config) {
-  if (config.xMax <= config.xMin || config.yMax <= config.yMin ||
-      config.coarseStepM <= 0.0) {
+  if (config.xMax <= config.xMin || config.yMax <= config.yMin) {
     throw std::invalid_argument("Hologram: bad search grid");
   }
   int nextGroup = 0;
@@ -95,9 +102,8 @@ double Hologram::intensity(const geom::Vec2& candidate) const {
 Fix2D Hologram::locate() const {
   geom::Vec2 best{config_.xMin, config_.yMin};
   double bestV = intensity(best);
-  for (double x = config_.xMin; x <= config_.xMax; x += config_.coarseStepM) {
-    for (double y = config_.yMin; y <= config_.yMax;
-         y += config_.coarseStepM) {
+  for (double x = config_.xMin; x <= config_.xMax; x += kCoarseStepM) {
+    for (double y = config_.yMin; y <= config_.yMax; y += kCoarseStepM) {
       const double v = intensity({x, y});
       if (v > bestV) {
         bestV = v;
@@ -105,8 +111,8 @@ Fix2D Hologram::locate() const {
       }
     }
   }
-  double h = config_.coarseStepM / 2.0;
-  for (int round = 0; round < config_.refineRounds; ++round) {
+  double h = kCoarseStepM / 2.0;
+  for (int round = 0; round < kRefineRounds; ++round) {
     for (int dx = -1; dx <= 1; ++dx) {
       for (int dy = -1; dy <= 1; ++dy) {
         if (dx == 0 && dy == 0) continue;

@@ -27,13 +27,12 @@
 namespace tagspin::core {
 
 struct HologramConfig {
-  /// Candidate grid bounds (metres) and resolution of the coarse pass.
+  /// Candidate grid bounds (metres); locate() scans them at 5 cm and then
+  /// refines 8 rounds.
   double xMin = -2.0;
   double xMax = 2.0;
   double yMin = 0.3;
   double yMax = 3.5;
-  double coarseStepM = 0.05;
-  int refineRounds = 8;
   /// Combine per-rig holograms multiplicatively (geometric mean) rather
   /// than additively; multiplicative fusion suppresses positions that any
   /// single rig contradicts.

@@ -339,6 +339,10 @@ std::optional<robust::ConfidenceEllipse> Locator::bootstrapEllipse2D(
     std::span<const RigDirection> directions,
     const geom::Vec2& position) const {
   obs::add(obs_.bootstrapRuns);
+  // Half-sample bearing re-estimates per rig feeding the bootstrap.
+  constexpr int kBearingSubsamples = 8;
+  robust::BootstrapConfig bc;
+  bc.resampleRays = config_.robust.pairsBootstrap;
   const geom::Vec3 est3{position.x, position.y,
                         observations[0].rig.center.z};
   std::vector<robust::BearingSamples> rays(observations.size());
@@ -359,14 +363,13 @@ std::optional<robust::ConfidenceEllipse> Locator::bootstrapEllipse2D(
     const std::vector<Snapshot>& snaps =
         calibrate ? corrected : obs.snapshots;
     if (snaps.size() < 16) continue;  // half-samples would be meaningless
-    std::mt19937_64 rng(config_.robust.bootstrapSeed ^
-                        (0x9E3779B97F4A7C15ULL * (i + 1)));
+    std::mt19937_64 rng(bc.seed ^ (0x9E3779B97F4A7C15ULL * (i + 1)));
     std::vector<size_t> idx(snaps.size());
     std::iota(idx.begin(), idx.end(), size_t{0});
     const size_t half = snaps.size() / 2;
     std::vector<Snapshot> subset;
     subset.reserve(half);
-    for (int k = 0; k < config_.robust.bearingSubsamples; ++k) {
+    for (int k = 0; k < kBearingSubsamples; ++k) {
       std::shuffle(idx.begin(), idx.end(), rng);
       std::sort(idx.begin(), idx.begin() + static_cast<long>(half));
       subset.clear();
@@ -379,11 +382,6 @@ std::optional<robust::ConfidenceEllipse> Locator::bootstrapEllipse2D(
           geom::wrapToPi(est.azimuth - rays[i].bearingRad));
     }
   }
-  robust::BootstrapConfig bc;
-  bc.replicates = config_.robust.bootstrapReplicates;
-  bc.confidenceLevel = config_.robust.confidenceLevel;
-  bc.seed = config_.robust.bootstrapSeed;
-  bc.resampleRays = config_.robust.pairsBootstrap;
   const auto ellipse = robust::bootstrapEllipse(rays, position, bc);
   if (ellipse) obs::set(obs_.ellipseAreaCm2, ellipse->areaM2() * 1e4);
   return ellipse;

@@ -12,21 +12,31 @@ namespace tagspin::core {
 
 namespace {
 
+/// Timestamp repair: a read is isolated when both neighbours are further
+/// than max(floor, factor * median step) away.
+constexpr double kTimestampGapFactor = 50.0;
+constexpr double kTimestampGapFloorS = 0.5;
+
+/// Hampel filter: total window size (odd), threshold in 1.4826*MAD units,
+/// and deviation floor in radians.
+constexpr size_t kHampelWindow = 11;
+constexpr double kHampelThreshold = 6.0;
+constexpr double kHampelFloorRad = 0.05;
+
 /// Collect + RSSI-gate + sort: the shared head of the strict and robust
 /// extraction paths.  `matched` counts reports of the EPC before gating;
 /// `nonFinite` (if set) counts those dropped for a non-finite timestamp,
 /// phase or frequency -- dropped before the sort, whose ordering a NaN
 /// time would break, and before one NaN can poison a rig's spectrum.
 std::vector<Snapshot> collectSorted(const rfid::ReportStream& reports,
-                                    const rfid::Epc& epc,
-                                    const PreprocessConfig& config,
-                                    size_t* matched, size_t* nonFinite) {
+                                    const rfid::Epc& epc, size_t* matched,
+                                    size_t* nonFinite) {
   std::vector<Snapshot> snaps;
   size_t seen = 0;
   for (const rfid::TagReport& r : reports) {
     if (!(r.epc == epc)) continue;
     ++seen;
-    if (r.rssiDbm < config.minRssiDbm) continue;
+    if (r.rssiDbm < kMinRssiDbm) continue;
     if (!std::isfinite(r.timestampS) || !std::isfinite(r.phaseRad) ||
         !std::isfinite(r.frequencyHz)) {
       if (nonFinite) ++*nonFinite;
@@ -78,7 +88,6 @@ void subsample(std::vector<Snapshot>& snaps, size_t maxSnapshots) {
 /// Legitimate gaps (dropout windows) separate two dense blocks: the reads at
 /// the block edges stay close to their inward neighbour and survive.
 std::vector<Snapshot> dropTimeOutliers(std::vector<Snapshot> snaps,
-                                       double gapFactor, double gapFloorS,
                                        size_t* dropped) {
   if (snaps.size() < 3) return snaps;
   std::vector<double> steps;
@@ -89,7 +98,8 @@ std::vector<Snapshot> dropTimeOutliers(std::vector<Snapshot> snaps,
   std::nth_element(steps.begin(), steps.begin() + steps.size() / 2,
                    steps.end());
   const double medianStep = steps[steps.size() / 2];
-  const double limit = std::max(gapFloorS, gapFactor * medianStep);
+  const double limit =
+      std::max(kTimestampGapFloorS, kTimestampGapFactor * medianStep);
 
   std::vector<Snapshot> kept;
   kept.reserve(snaps.size());
@@ -116,7 +126,7 @@ std::vector<Snapshot> extractSnapshots(const rfid::ReportStream& reports,
                                        const PreprocessConfig& config) {
   size_t matched = 0;
   std::vector<Snapshot> snaps =
-      collectSorted(reports, epc, config, &matched, nullptr);
+      collectSorted(reports, epc, &matched, nullptr);
   if (snaps.empty()) {
     throw std::invalid_argument(
         "extractSnapshots: " + noReportsMessage(epc, reports.size(), matched));
@@ -126,10 +136,9 @@ std::vector<Snapshot> extractSnapshots(const rfid::ReportStream& reports,
 }
 
 std::vector<Snapshot> hampelFilterPhases(const std::vector<Snapshot>& snaps,
-                                         size_t window, double threshold,
-                                         double floorRad, size_t* dropped) {
-  if (snaps.size() < 5 || window < 3) return snaps;
-  const size_t half = window / 2;
+                                         size_t* dropped) {
+  if (snaps.size() < kHampelWindow) return snaps;  // every read is an edge
+  constexpr size_t half = kHampelWindow / 2;
   std::vector<Snapshot> kept;
   kept.reserve(snaps.size());
   std::vector<double> devs;
@@ -159,7 +168,8 @@ std::vector<Snapshot> hampelFilterPhases(const std::vector<Snapshot>& snaps,
     std::nth_element(absdevs.begin(), absdevs.begin() + absdevs.size() / 2,
                      absdevs.end());
     const double madSigma = 1.4826 * absdevs[absdevs.size() / 2];
-    const double limit = std::max(floorRad, threshold * madSigma);
+    const double limit =
+        std::max(kHampelFloorRad, kHampelThreshold * madSigma);
     if (std::abs(med) > limit) {
       if (dropped) ++*dropped;
       continue;
@@ -175,8 +185,8 @@ Result<std::vector<Snapshot>> extractSnapshotsRobust(
   RepairStats local;
   RepairStats* st = repairs ? repairs : &local;
   size_t matched = 0;
-  std::vector<Snapshot> snaps = collectSorted(reports, epc, config, &matched,
-                                              &st->nonFiniteDropped);
+  std::vector<Snapshot> snaps =
+      collectSorted(reports, epc, &matched, &st->nonFiniteDropped);
   if (snaps.empty()) {
     return Error{ErrorCode::kNoReports,
                  "extractSnapshotsRobust: " +
@@ -198,14 +208,10 @@ Result<std::vector<Snapshot>> extractSnapshotsRobust(
     snaps = std::move(unique);
   }
   if (config.repairTimestamps) {
-    snaps = dropTimeOutliers(std::move(snaps), config.timestampGapFactor,
-                             config.timestampGapFloorS,
-                             &st->timestampOutliersDropped);
+    snaps = dropTimeOutliers(std::move(snaps), &st->timestampOutliersDropped);
   }
   if (config.hampelFilter) {
-    snaps = hampelFilterPhases(snaps, config.hampelWindow,
-                               config.hampelThreshold, config.hampelFloorRad,
-                               &st->phaseOutliersDropped);
+    snaps = hampelFilterPhases(snaps, &st->phaseOutliersDropped);
   }
   if (snaps.empty()) {
     return Error{ErrorCode::kNoReports,

@@ -11,9 +11,11 @@
 
 namespace tagspin::core {
 
+/// Reads weaker than this are dropped (spurious reads through the back
+/// lobe), here and at runtime::Supervisor::ingest.
+inline constexpr double kMinRssiDbm = -90.0;
+
 struct PreprocessConfig {
-  /// Drop reads weaker than this (spurious reads through the back lobe).
-  double minRssiDbm = -90.0;
   /// Keep at most this many snapshots (0 = unlimited); evenly subsampled to
   /// bound spectrum cost for very long interrogations.  4000 snapshots keep
   /// the subsampling penalty negligible at the default 30 s interrogation.
@@ -25,21 +27,12 @@ struct PreprocessConfig {
   bool dedupe = true;
   /// Drop reads whose timestamp is isolated from the rest of the trace
   /// (clock glitches that survive sorting); a read is isolated when its
-  /// nearest temporal neighbour is further than
-  /// max(timestampGapFloorS, timestampGapFactor * median step) away.
+  /// nearest temporal neighbour is further than max(0.5 s, 50 * median
+  /// step) away.
   bool repairTimestamps = true;
-  double timestampGapFactor = 50.0;
-  double timestampGapFloorS = 0.5;
-  /// Hampel/MAD filter on the wrapped phase sequence ahead of unwrapping:
-  /// a read whose phase deviates from the windowed circular median by more
-  /// than hampelThreshold MAD-sigmas is discarded as an interference
-  /// outlier.
+  /// Hampel/MAD filter on the wrapped phase sequence ahead of unwrapping
+  /// (hampelFilterPhases).
   bool hampelFilter = true;
-  size_t hampelWindow = 11;      // total window size, odd
-  double hampelThreshold = 6.0;  // in 1.4826*MAD units
-  /// Deviation floor (radians) so a near-zero MAD (repeated quantised
-  /// phases) cannot reject healthy reads.
-  double hampelFloorRad = 0.05;
 };
 
 /// What the robust extraction repaired (diagnostics / chaos reporting).
@@ -68,11 +61,14 @@ Result<std::vector<Snapshot>> extractSnapshotsRobust(
     const rfid::ReportStream& reports, const rfid::Epc& epc,
     const PreprocessConfig& config = {}, RepairStats* repairs = nullptr);
 
-/// The Hampel/MAD stage alone, exposed for tests: returns the snapshots
-/// whose wrapped phase survives the windowed circular-median test.
+/// The Hampel/MAD stage alone (the supervisor runs it on its accumulated
+/// snapshots): returns the snapshots whose wrapped phase survives the
+/// windowed circular-median test.  A read whose phase deviates from the
+/// median of its 10 neighbours (an 11-sample window) by more than 6
+/// MAD-sigmas, and by more than 0.05 rad, is discarded as an interference
+/// outlier; the floor keeps a near-zero MAD (repeated quantised phases)
+/// from rejecting healthy reads.
 std::vector<Snapshot> hampelFilterPhases(const std::vector<Snapshot>& snaps,
-                                         size_t window, double threshold,
-                                         double floorRad,
                                          size_t* dropped = nullptr);
 
 /// Unwrapped ("smoothed", section III-B) phase sequence of the snapshots.

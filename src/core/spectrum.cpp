@@ -55,9 +55,7 @@ dsp::RectGrid spatialSearchGrid(const SearchConfig& search) {
   // The profile depends on gamma only through cos(gamma), so it is exactly
   // mirror-symmetric about the horizontal plane (the paper's two symmetric
   // peaks); searching the non-negative half suffices.
-  const double lo = std::max(search.polarMin, 0.0);
-  const double hi = std::max(search.polarMax, lo);
-  return {lo, hi, search.azimuthGridPoints / 2,
+  return {0.0, geom::kPi / 2.0, search.azimuthGridPoints / 2,
           std::max<size_t>(search.polarGridPoints / 2, 2)};
 }
 

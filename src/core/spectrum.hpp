@@ -54,8 +54,8 @@ AzimuthEstimate estimateAzimuthCoarseFine(const PowerProfile& profile,
                                           const SearchConfig& search);
 
 /// The 3D search's grid: search.azimuthGridPoints / 2 azimuths on
-/// [0, 2*pi) by max(search.polarGridPoints / 2, 2) polar rows on the
-/// non-negative part of [polarMin, polarMax].
+/// [0, 2*pi) by max(search.polarGridPoints / 2, 2) polar rows on
+/// [0, pi/2], the non-negative half of the polar range.
 dsp::RectGrid spatialSearchGrid(const SearchConfig& search);
 
 /// The 3D search: the (azimuth, polar >= 0) grid maximum of the profile,

@@ -141,7 +141,6 @@ runtime::FleetConfig baseFleetConfig() {
   fc.supervisor.locator.robust.diagnostics = false;
   fc.supervisor.locator.robust.consensus = false;
   fc.fixIntervalS = 5.0;
-  fc.fixRetryS = 1.0;
   fc.retryBudget.tokensPerSecond = 4.0;
   fc.retryBudget.burst = 8.0;
   return fc;

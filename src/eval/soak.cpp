@@ -78,8 +78,6 @@ SoakResult runSoak(const SoakConfig& config) {
   {
     core::TagspinSystem server = buildTagspinServer(
         world, {}, config.supervisor.locator);
-    server.setHealthThresholds(config.supervisor.health);
-    server.setPreprocessConfig(config.supervisor.preprocess);
     const auto base = server.tryLocate2D(shared->cleanReports());
     result.baselineOk = base.hasValue();
     if (base.hasValue()) {

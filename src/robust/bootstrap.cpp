@@ -15,6 +15,12 @@ namespace {
 // otherwise dominate the covariance.
 constexpr double kReplicateSanityM = 1e3;
 
+constexpr int kReplicates = 160;
+constexpr double kConfidenceLevel = 0.90;
+// Give up (return empty) when fewer replicates than this produced a
+// non-degenerate intersection.
+constexpr size_t kMinValidReplicates = 24;
+
 }  // namespace
 
 double ConfidenceEllipse::areaM2() const {
@@ -35,7 +41,7 @@ std::optional<ConfidenceEllipse> bootstrapEllipse(
     std::span<const BearingSamples> rays, const geom::Vec2& fix,
     const BootstrapConfig& config) {
   const size_t n = rays.size();
-  if (n < 2 || config.replicates <= 0) return std::nullopt;
+  if (n < 2) return std::nullopt;
   const bool anyDeviations =
       std::any_of(rays.begin(), rays.end(), [](const BearingSamples& r) {
         return !r.deviationsRad.empty();
@@ -47,9 +53,9 @@ std::optional<ConfidenceEllipse> bootstrapEllipse(
   const bool resample = config.resampleRays && n >= 3;
 
   std::vector<geom::Vec2> points;
-  points.reserve(static_cast<size_t>(config.replicates));
+  points.reserve(kReplicates);
   std::vector<geom::Ray2> replicate(n);
-  for (int b = 0; b < config.replicates; ++b) {
+  for (int b = 0; b < kReplicates; ++b) {
     for (size_t slot = 0; slot < n; ++slot) {
       const size_t i = resample ? pickRay(rng) : slot;
       const BearingSamples& ray = rays[i];
@@ -66,10 +72,7 @@ std::optional<ConfidenceEllipse> bootstrapEllipse(
     if (geom::distance(*p, fix) > kReplicateSanityM) continue;
     points.push_back(*p);
   }
-  if (points.size() < static_cast<size_t>(
-                          std::max(config.minValidReplicates, 2))) {
-    return std::nullopt;
-  }
+  if (points.size() < kMinValidReplicates) return std::nullopt;
 
   geom::Vec2 mean{0.0, 0.0};
   for (const auto& p : points) mean = mean + p;
@@ -92,14 +95,14 @@ std::optional<ConfidenceEllipse> bootstrapEllipse(
   const double lambda1 = std::max(0.5 * (tr + disc), 1e-12);
   const double lambda2 = std::max(0.5 * (tr - disc), 1e-12);
   // Exact chi-square quantile for 2 degrees of freedom.
-  const double chi2 = -2.0 * std::log(1.0 - config.confidenceLevel);
+  const double chi2 = -2.0 * std::log(1.0 - kConfidenceLevel);
 
   ConfidenceEllipse ellipse;
   ellipse.center = fix;
   ellipse.semiMajorM = std::sqrt(lambda1 * chi2);
   ellipse.semiMinorM = std::sqrt(lambda2 * chi2);
   ellipse.orientationRad = 0.5 * std::atan2(2.0 * cxy, cxx - cyy);
-  ellipse.confidenceLevel = config.confidenceLevel;
+  ellipse.confidenceLevel = kConfidenceLevel;
   return ellipse;
 }
 

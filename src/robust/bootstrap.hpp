@@ -45,13 +45,10 @@ struct BearingSamples {
   std::vector<double> deviationsRad;
 };
 
+/// The ellipse comes from 160 replicates, scaled for 90% coverage; with
+/// fewer than 24 non-degenerate replicate intersections there is none.
 struct BootstrapConfig {
-  int replicates = 160;
-  double confidenceLevel = 0.90;
   uint64_t seed = 0xB0075;
-  /// Give up (return empty) when fewer replicates than this produced a
-  /// non-degenerate intersection.
-  int minValidReplicates = 24;
   /// Also resample the ray set with replacement (pairs bootstrap over
   /// rays).  Off by default: with a handful of rays most replicates draw
   /// the same rig twice, and two same-origin rays with different bearing

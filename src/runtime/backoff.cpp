@@ -15,12 +15,12 @@ double BackoffSchedule::nextDelayS() {
     previousS_ = config_.baseDelayS;
     return previousS_;
   }
-  // Uniform in [base, multiplier * previous] from a splitmix64 stream; the
+  // Uniform in [base, kMultiplier * previous] from a splitmix64 stream; the
   // 53-bit mantissa path gives a bias-free double in [0, 1).
   rngState_ = sim::splitmix64(rngState_);
   const double u =
       static_cast<double>(rngState_ >> 11) / 9007199254740992.0;  // 2^53
-  const double hi = std::max(config_.baseDelayS, config_.multiplier * previousS_);
+  const double hi = std::max(config_.baseDelayS, kMultiplier * previousS_);
   previousS_ = std::min(config_.maxDelayS,
                         config_.baseDelayS + u * (hi - config_.baseDelayS));
   return previousS_;

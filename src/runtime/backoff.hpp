@@ -16,9 +16,6 @@ struct BackoffConfig {
   double baseDelayS = 0.25;
   /// Hard cap on any single delay.
   double maxDelayS = 30.0;
-  /// Decorrelated-jitter growth factor: the next delay is drawn uniformly
-  /// from [base, multiplier * previous], then capped.
-  double multiplier = 3.0;
   /// Seed for the jitter stream (the schedule is deterministic in it).
   uint64_t seed = 0xBAC0FFULL;
 };
@@ -29,6 +26,10 @@ struct BackoffConfig {
 /// jitter produces when many sessions fail at once.
 class BackoffSchedule {
  public:
+  /// Decorrelated-jitter growth factor: the next delay is drawn uniformly
+  /// from [base, kMultiplier * previous], then capped.
+  static constexpr double kMultiplier = 3.0;
+
   explicit BackoffSchedule(BackoffConfig config = {});
 
   /// Delay to wait before the next attempt; advances the schedule.

@@ -15,6 +15,33 @@
 
 namespace tagspin::runtime {
 
+namespace {
+
+/// A session without a fix retries this often.
+constexpr double kFixRetryS = 1.0;
+
+/// Quarantine: this many flap events within the window eject a session;
+/// each missed probe multiplies the probe interval, up to the cap.
+constexpr uint64_t kFlapThreshold = 6;
+constexpr double kFlapWindowS = 30.0;
+constexpr double kProbeMultiplier = 2.0;
+constexpr double kProbeMaxS = 64.0;
+
+/// The shed ladder: the work axis on the worst shard's demand/budget EMA,
+/// the memory axis on its arena's used/budget ratio.  A level is entered
+/// above its threshold and left below the threshold minus the hysteresis.
+constexpr double kShedDegradedPressure = 0.9;
+constexpr double kShedCriticalPressure = 1.3;
+constexpr double kShedHysteresis = 0.15;
+constexpr double kMemDegradedPressure = 0.75;
+constexpr double kMemCriticalPressure = 0.92;
+constexpr double kMemShedHysteresis = 0.05;
+/// Cadence stretch while degraded; critical doubles the checkpoint one.
+constexpr double kDegradedFixStretch = 2.0;
+constexpr double kDegradedCheckpointStretch = 4.0;
+
+}  // namespace
+
 const char* shedLevelName(ShedLevel level) {
   switch (level) {
     case ShedLevel::kNone: return "none";
@@ -224,9 +251,8 @@ FleetManager::FleetManager(FleetConfig config, core::DeploymentFile deployment)
     shard->index = k;
     shard->retryBudget = TokenBucket(config_.retryBudget.tokensPerSecond,
                                      config_.retryBudget.burst);
-    memAccounting_ = config_.mem != nullptr ||
-                     config_.memBudgetPerShardBytes > 0 ||
-                     config_.memBudgetPerSessionBytes > 0;
+    memAccounting_ =
+        config_.mem != nullptr || config_.memBudgetPerShardBytes > 0;
     if (memAccounting_) {
       shard->memArena =
           core::MemArena(config_.mem, config_.memBudgetPerShardBytes,
@@ -254,10 +280,8 @@ FleetManager::~FleetManager() = default;
 
 bool FleetManager::registerSession(std::string name,
                                    TransportFactory factory) {
-  size_t perShardCap = config_.maxSessionsPerShard;
-  if (perShardCap == 0) {
-    perShardCap = (config_.maxSessions + shards_.size() - 1) / shards_.size();
-  }
+  const size_t perShardCap =
+      (config_.maxSessions + shards_.size() - 1) / shards_.size();
   // Least-loaded shard (ties go to the lowest index, so round-robin
   // registration stripes cohorts evenly across fault domains).
   Shard* target = nullptr;
@@ -331,17 +355,16 @@ size_t FleetManager::sessionCount() const {
 double FleetManager::effectiveFixIntervalS() const {
   return shedLevel_ == ShedLevel::kNone
              ? config_.fixIntervalS
-             : config_.fixIntervalS * config_.degradedFixStretch;
+             : config_.fixIntervalS * kDegradedFixStretch;
 }
 
 double FleetManager::effectiveCheckpointIntervalS() const {
   switch (shedLevel_) {
     case ShedLevel::kNone: return config_.checkpointIntervalS;
     case ShedLevel::kDegraded:
-      return config_.checkpointIntervalS * config_.degradedCheckpointStretch;
+      return config_.checkpointIntervalS * kDegradedCheckpointStretch;
     case ShedLevel::kCritical:
-      return config_.checkpointIntervalS * config_.degradedCheckpointStretch *
-             2.0;
+      return config_.checkpointIntervalS * kDegradedCheckpointStretch * 2.0;
   }
   return config_.checkpointIntervalS;
 }
@@ -376,14 +399,12 @@ void FleetManager::updateShedLevel() {
     pressure = std::max(pressure, shard->pressureEma);
     memPressure = std::max(memPressure, shard->memArena.pressure());
   }
-  workShedLevel_ = stepShedLevel(workShedLevel_, pressure,
-                                 config_.shedDegradedPressure,
-                                 config_.shedCriticalPressure,
-                                 config_.shedHysteresis);
-  memShedLevel_ = stepShedLevel(memShedLevel_, memPressure,
-                                config_.memDegradedPressure,
-                                config_.memCriticalPressure,
-                                config_.memShedHysteresis);
+  workShedLevel_ =
+      stepShedLevel(workShedLevel_, pressure, kShedDegradedPressure,
+                    kShedCriticalPressure, kShedHysteresis);
+  memShedLevel_ =
+      stepShedLevel(memShedLevel_, memPressure, kMemDegradedPressure,
+                    kMemCriticalPressure, kMemShedHysteresis);
   // Either axis can push the fleet into degradation; both must clear for
   // it to recover.  The combined level is what stretches cadences.
   shedLevel_ = std::max(workShedLevel_, memShedLevel_);
@@ -452,10 +473,10 @@ void FleetManager::processShard(Shard& shard, double nowS) {
   const size_t n = shard.members.size();
   if (n == 0) return;
 
-  double budget = config_.workUnitsPerTick > 0.0
-                      ? config_.workUnitsPerTick
-                      : 3.0 * static_cast<double>(n) + 8.0;
-  const double fullBudget = budget;
+  // ~50% headroom over the healthy steady state, so storms (connects at 4
+  // units, floods by the KiB) are what push a shard into deferral and
+  // shedding.
+  const double budget = 3.0 * static_cast<double>(n) + 8.0;
   double spent = 0.0;
   size_t visited = 0;
   while (visited < n && spent < budget) {
@@ -482,7 +503,7 @@ void FleetManager::processShard(Shard& shard, double nowS) {
   // Demand = what we spent plus a floor estimate (one unit) for every
   // session we could not even visit.
   const double demand = spent + static_cast<double>(deferred);
-  const double instant = demand / fullBudget;
+  const double instant = demand / budget;
   shard.pressureEma = 0.8 * shard.pressureEma + 0.2 * instant;
 
   if (memAccounting_) shedShardMemory(shard, nowS);
@@ -520,8 +541,7 @@ double FleetManager::processMember(Shard& shard, Member& member,
     } else if (nowS >= member.probeEndS) {
       // Probe missed: escalate and park until the next rung.
       member.probeIntervalS =
-          std::min(member.probeIntervalS * config_.quarantine.probeMultiplier,
-                   config_.quarantine.probeMaxS);
+          std::min(member.probeIntervalS * kProbeMultiplier, kProbeMaxS);
       member.nextProbeS = nowS + member.probeIntervalS;
       member.probeEndS = -1.0;
     }
@@ -556,7 +576,7 @@ double FleetManager::tickSupervisor(Shard& shard, Member& member,
   if (flaps > 0 && !member.quarantined) {
     member.flapEventsTotal += flaps;
     for (uint64_t i = 0; i < flaps; ++i) member.flapTimes.push_back(nowS);
-    const double cutoff = nowS - config_.quarantine.flapWindowS;
+    const double cutoff = nowS - kFlapWindowS;
     size_t keepFrom = 0;
     while (keepFrom < member.flapTimes.size() &&
            member.flapTimes[keepFrom] < cutoff) {
@@ -565,7 +585,7 @@ double FleetManager::tickSupervisor(Shard& shard, Member& member,
     member.flapTimes.erase(member.flapTimes.begin(),
                            member.flapTimes.begin() +
                                static_cast<std::ptrdiff_t>(keepFrom));
-    if (member.flapTimes.size() >= config_.quarantine.flapThreshold) {
+    if (member.flapTimes.size() >= kFlapThreshold) {
       eject(shard, member, nowS);
     }
   } else if (flaps > 0) {
@@ -585,11 +605,7 @@ void FleetManager::accountMemory(Shard& shard, Member& member, double nowS) {
     member.memBytes = footprint;
     return;
   }
-  const auto fits = [&](uint64_t target) {
-    return config_.memBudgetPerSessionBytes == 0 ||
-           target <= config_.memBudgetPerSessionBytes;
-  };
-  if (fits(footprint) && shard.memArena.tryReserve(footprint - member.memBytes)) {
+  if (shard.memArena.tryReserve(footprint - member.memBytes)) {
     member.memBytes = footprint;
     return;
   }
@@ -606,7 +622,7 @@ void FleetManager::accountMemory(Shard& shard, Member& member, double nowS) {
     member.memBytes = trimmed;
     return;
   }
-  if (fits(trimmed) && shard.memArena.tryReserve(trimmed - member.memBytes)) {
+  if (shard.memArena.tryReserve(trimmed - member.memBytes)) {
     member.memBytes = trimmed;
     return;
   }
@@ -640,7 +656,7 @@ void FleetManager::memEject(Shard& shard, Member& member, double nowS) {
 
 void FleetManager::shedShardMemory(Shard& shard, double nowS) {
   const double pressure = shard.memArena.pressure();
-  if (pressure <= config_.memDegradedPressure) return;
+  if (pressure <= kMemDegradedPressure) return;
   // Shard-local response, largest footprint first: at degraded pressure a
   // trim usually buys the headroom back; past critical the biggest member
   // is quarantined outright.  One victim per tick keeps the response
@@ -651,7 +667,7 @@ void FleetManager::shedShardMemory(Shard& shard, double nowS) {
     if (!victim || member->memBytes > victim->memBytes) victim = member.get();
   }
   if (!victim || victim->memBytes == 0) return;
-  if (pressure > config_.memCriticalPressure) {
+  if (pressure > kMemCriticalPressure) {
     memEject(shard, *victim, nowS);
     return;
   }
@@ -708,8 +724,8 @@ double FleetManager::maybeFix(Shard& shard, Member& member, double nowS) {
     while (member.fixDueS <= nowS) member.fixDueS += interval;
   } else {
     ++shard.counters.fixesFailed;
-    member.fixDueS = dueS + config_.fixRetryS;
-    while (member.fixDueS <= nowS) member.fixDueS += config_.fixRetryS;
+    member.fixDueS = dueS + kFixRetryS;
+    while (member.fixDueS <= nowS) member.fixDueS += kFixRetryS;
   }
   return 24.0;  // a fix recomputation is the priciest unit of work
 }
@@ -733,7 +749,7 @@ void FleetManager::readmit(Shard& shard, Member& member, double nowS) {
   member.quarantined = false;
   member.flapTimes.clear();
   member.probeEndS = -1.0;
-  member.fixDueS = nowS + config_.fixRetryS;  // it has catching up to do
+  member.fixDueS = nowS + kFixRetryS;  // it has catching up to do
   ++shard.counters.readmissions;
   if (shard.quarantinedCount > 0) --shard.quarantinedCount;
   obs::add(obs_.readmissions);

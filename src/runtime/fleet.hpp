@@ -6,9 +6,9 @@
 // starve its neighbors.  The fleet layer adds exactly that containment:
 //
 //  * Fault domains (shards).  Every session is pinned to one shard; each
-//    tick a shard spends at most `workUnitsPerTick` work units on its own
-//    sessions (a session tick costs 1 unit, a connect attempt 4, decoded
-//    bytes ~1/KiB, a fix recomputation 24).  Sessions a shard cannot afford
+//    tick a shard of n sessions spends at most 3n + 8 work units on them
+//    (a session tick costs 1 unit, a connect attempt 4, decoded bytes
+//    ~1/KiB, a fix recomputation 24).  Sessions a shard cannot afford
 //    this tick are deferred to the next in round-robin order, so overload
 //    in one shard surfaces as latency in THAT shard only.  Because the
 //    budget is denominated in work units against the tick clock, fix
@@ -24,20 +24,22 @@
 //    attempt is always admitted: the budget paces RECONNECT storms, not a
 //    cold-starting fleet bringing everything up at once.
 //
-//  * Quarantine ring.  Sessions that keep flapping (disconnects + connect
-//    failures + supervisor-level restarts within flapWindowS reaching
-//    flapThreshold) are ejected: they stop being scheduled and instead get
-//    short probe windows at escalating intervals (probeBaseS, doubling up
-//    to probeMaxS).  A probe that reaches STREAMING re-admits the session
-//    with a clean flap history.
+//  * Quarantine ring.  Sessions that keep flapping (6 flap events --
+//    disconnects, connect failures, supervisor-level restarts -- within
+//    30 s) are ejected: they stop being scheduled and instead get short
+//    probe windows at escalating intervals (probeBaseS, doubling up to
+//    64 s).  A probe that reaches STREAMING re-admits the session with a
+//    clean flap history.
 //
 //  * Overload protection at the fleet boundary.  Admission control caps
-//    registration (total and per shard).  Load shedding watches each
-//    shard's demand/budget pressure (EMA) and degrades gracefully:
-//    kDegraded stretches checkpoint cadence and fix recomputation
-//    intervals (the degrade_sampling idea at fleet granularity); kCritical
-//    additionally skips recomputation for sessions that already hold a fix.
-//    Both levels have hysteresis so the fleet doesn't oscillate.
+//    registration (in total, and at ceil(maxSessions / shards) per shard).
+//    Load shedding watches each shard's demand/budget pressure (EMA) and
+//    degrades gracefully: above 0.9 (kDegraded) it stretches fix
+//    recomputation intervals 2x and checkpoint cadence 4x (the
+//    degrade_sampling idea at fleet granularity); above 1.3 (kCritical) it
+//    stretches checkpoints 8x and skips recomputation for sessions that
+//    already hold a fix.  A level is left only 0.15 below its threshold,
+//    so the fleet doesn't oscillate.
 //
 //  * Bounded checkpoint fan-out.  N sessions do not amplify into N fsyncs
 //    per tick: each shard batches ALL its sessions into one durable file
@@ -110,15 +112,9 @@ struct RetryBudgetConfig {
 };
 
 struct QuarantineConfig {
-  /// Flap events (disconnects + connect failures + restarts) within
-  /// flapWindowS that eject a session into quarantine.
-  uint64_t flapThreshold = 6;
-  double flapWindowS = 30.0;
-  /// Probe ladder: first probe after probeBaseS, each miss multiplies the
-  /// interval (capped at probeMaxS); a probe runs for probeWindowS.
+  /// Probe ladder: first probe after probeBaseS, each miss doubles the
+  /// interval (capped at 64 s); a probe runs for probeWindowS.
   double probeBaseS = 4.0;
-  double probeMultiplier = 2.0;
-  double probeMaxS = 64.0;
   double probeWindowS = 2.0;
 };
 
@@ -144,27 +140,20 @@ struct FleetConfig {
   SupervisorConfig supervisor;
 
   size_t shards = 4;
-  /// Admission control: registerSession refuses beyond these.
+  /// Admission control: registerSession refuses beyond this, and beyond
+  /// ceil(maxSessions / shards) in any one shard.
   size_t maxSessions = 4096;
-  size_t maxSessionsPerShard = 0;  // 0 = ceil(maxSessions / shards)
 
   /// 0 = inline on the calling thread; otherwise a persistent pool of this
   /// many threads processes shards in parallel.
   size_t workerThreads = 0;
 
-  /// Per-shard scheduling budget per tick, in work units.  0 = automatic:
-  /// 3 * (sessions in shard) + 8, i.e. ~50% headroom over the healthy
-  /// steady state so storms (connects at 4 units, floods by the KiB) are
-  /// what push a shard into deferral and shedding.
-  double workUnitsPerTick = 0.0;
-
   RetryBudgetConfig retryBudget;
   QuarantineConfig quarantine;
 
   /// Fix recomputation cadence per session (staggered across sessions);
-  /// until a session has produced its first fix it retries every fixRetryS.
+  /// until a session has produced its first fix it retries every second.
   double fixIntervalS = 5.0;
-  double fixRetryS = 1.0;
 
   /// Per-shard batched checkpoint cadence (0 or empty dir disables).
   double checkpointIntervalS = 10.0;
@@ -174,32 +163,20 @@ struct FleetConfig {
   /// filesystem (the crash-point explorer injects sim::SimIoEnv here).
   core::IoEnv* io = nullptr;
 
-  /// Load shedding thresholds on the worst shard's demand/budget EMA.
-  double shedDegradedPressure = 0.9;
-  double shedCriticalPressure = 1.3;
-  double shedHysteresis = 0.15;
-  double degradedFixStretch = 2.0;
-  double degradedCheckpointStretch = 4.0;
-
-  /// Memory environment and byte budgets.  With `mem` null and both
-  /// budgets zero, memory accounting is entirely off and the fleet is
+  /// Memory environment and byte budget.  With `mem` null and a zero
+  /// budget, memory accounting is entirely off and the fleet is
   /// bit-identical to the pre-seam behavior (digest-gated in eval/oom).
   /// Otherwise each shard owns a core::MemArena charged with its members'
   /// estimated footprints (Supervisor::memoryFootprintBytes): a denied
   /// reservation first trims the offending session (2x snapshot
   /// decimation), then quarantines it -- the shard survives, the fleet
-  /// never sees bad_alloc.
+  /// never sees bad_alloc.  The worst shard's used/budget ratio is the
+  /// shed ladder's memory axis: above 0.75 the fleet stretches cadences
+  /// like work-degraded AND each over-pressure shard trims its largest
+  /// member once per tick; above 0.92 the largest member is quarantined
+  /// instead.  Its own 0.05 hysteresis keeps the two axes from chattering.
   core::MemEnv* mem = nullptr;
-  uint64_t memBudgetPerShardBytes = 0;    // 0 = unlimited
-  uint64_t memBudgetPerSessionBytes = 0;  // 0 = unlimited
-  /// Memory pressure axis of the shed ladder, on the worst shard's
-  /// used/budget ratio.  At mem-degraded the fleet stretches cadences like
-  /// work-degraded AND each over-pressure shard trims its largest member
-  /// once per tick; at mem-critical the largest member is quarantined
-  /// instead.  Separate hysteresis keeps the two axes from chattering.
-  double memDegradedPressure = 0.75;
-  double memCriticalPressure = 0.92;
-  double memShedHysteresis = 0.05;
+  uint64_t memBudgetPerShardBytes = 0;  // 0 = unlimited
 
   obs::MetricsRegistry* metrics = nullptr;
   obs::EventJournal* journal = nullptr;

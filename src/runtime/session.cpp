@@ -6,6 +6,14 @@
 
 namespace tagspin::runtime {
 
+namespace {
+
+/// A reader timestamp that advances less than this counts toward the
+/// stuck-clock watchdog.
+constexpr double kStuckClockMinAdvanceS = 1e-9;
+
+}  // namespace
+
 const char* sessionStateName(SessionState state) {
   switch (state) {
     case SessionState::kDisconnected: return "disconnected";
@@ -44,8 +52,7 @@ ReaderSession::ReaderSession(std::string name,
     : name_(std::move(name)),
       transport_(std::move(transport)),
       config_(config),
-      queue_(config.queueCapacity, config.backpressure,
-             config.degradeKeepEvery, config.queueHighWatermark),
+      queue_(config.queueCapacity, config.backpressure),
       backoff_(config.backoff),
       breaker_(config.breaker),
       obs_(Instruments::resolve(config.metrics)),
@@ -229,8 +236,7 @@ void ReaderSession::deliver(const rfid::ReportStream& reports, double nowS) {
     // Stuck-clock detection on the raw decode order: a healthy reader's
     // timestamps advance; a frozen clock repeats (or barely moves) them.
     if (stats_.lastReaderClockS >= 0.0 &&
-        r.timestampS - stats_.lastReaderClockS <
-            config_.stuckClockMinAdvanceS) {
+        r.timestampS - stats_.lastReaderClockS < kStuckClockMinAdvanceS) {
       ++stuckClockRun_;
     } else {
       stuckClockRun_ = 0;

@@ -59,18 +59,16 @@ struct SessionConfig {
   /// streaming before the session is recycled.
   double noReportTimeoutS = 5.0;
   /// Stuck-clock watchdog: this many consecutive reports whose reader
-  /// timestamp advances less than stuckClockMinAdvanceS force a recycle.
+  /// timestamp advances less than 1 ns force a recycle.
   size_t stuckClockWindow = 64;
-  double stuckClockMinAdvanceS = 1e-9;
 
   BackoffConfig backoff;
   CircuitBreakerConfig breaker;
 
-  /// Ingest queue between the decode loop and the supervisor's drain.
+  /// Ingest queue between the decode loop and the supervisor's drain (at
+  /// IngestQueue's default degrade stride and high watermark).
   size_t queueCapacity = 4096;
   BackpressurePolicy backpressure = BackpressurePolicy::kDropOldest;
-  size_t degradeKeepEvery = 2;
-  double queueHighWatermark = 0.75;
 
   /// External admission gate on connect attempts, consulted *before* the
   /// circuit breaker so a denied gate does not burn the breaker's one

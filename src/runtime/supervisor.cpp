@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/power_profile.hpp"
+#include "core/preprocess.hpp"
 #include "geom/angles.hpp"
 #include "obs/span.hpp"
 #include "rf/constants.hpp"
@@ -82,7 +83,7 @@ Supervisor::Supervisor(SupervisorConfig config,
   obs_ = Instruments::resolve(config_.metrics);
   locator_.setMetrics(config_.metrics);
   if (config_.trackFixes) {
-    tracker_ = std::make_unique<track::Tracker>(config_.tracker);
+    tracker_ = std::make_unique<track::Tracker>();
     tracker_->setMetrics(config_.metrics);
   }
 }
@@ -197,7 +198,7 @@ void Supervisor::shutdown(double nowS) {
 void Supervisor::ingest(const rfid::TagReport& report) {
   ++stats_.reportsSeen;
   obs::add(obs_.reportsSeen);
-  if (report.rssiDbm < config_.minRssiDbm) {
+  if (report.rssiDbm < core::kMinRssiDbm) {
     ++stats_.weakRssiDropped;
     obs::add(obs_.weakRssiDropped);
     return;
@@ -268,13 +269,10 @@ std::vector<core::RigObservation> Supervisor::buildObservations(
               [](const core::Snapshot& a, const core::Snapshot& b) {
                 return a.timeS < b.timeS;
               });
-    if (config_.preprocess.hampelFilter) {
+    {
       TAGSPIN_SPAN(obs_.preprocessSpan);
       size_t dropped = 0;
-      obs.snapshots = core::hampelFilterPhases(
-          obs.snapshots, config_.preprocess.hampelWindow,
-          config_.preprocess.hampelThreshold, config_.preprocess.hampelFloorRad,
-          &dropped);
+      obs.snapshots = core::hampelFilterPhases(obs.snapshots, &dropped);
       obs::add(obs_.phaseOutliersDropped, dropped);
     }
     const auto model = models_.find(epc);
@@ -286,7 +284,7 @@ std::vector<core::RigObservation> Supervisor::buildObservations(
 }
 
 core::Result<core::ResilientFix2D> Supervisor::tryLocate2D() const {
-  return locator_.tryLocate2D(buildObservations(), config_.health);
+  return locator_.tryLocate2D(buildObservations());
 }
 
 void Supervisor::requestRespin(const rfid::Epc& epc, double nowS) {
@@ -345,7 +343,7 @@ core::Result<core::ResilientFix2D> Supervisor::locateAndRecover2D(
   const std::vector<core::RigObservation> observations =
       buildObservations(&epcs);
   core::Result<core::ResilientFix2D> result =
-      locator_.tryLocate2D(observations, config_.health);
+      locator_.tryLocate2D(observations);
   if (!result) {
     // A failed attempt is a drop-out window: the track coasts across it
     // on the motion model instead of freezing at the last fix.
@@ -398,10 +396,6 @@ core::Result<core::ResilientFix2D> Supervisor::locateAndRecover2D(
   }
   lastFix_ = record;
   return result;
-}
-
-core::Result<core::ResilientFix3D> Supervisor::tryLocate3D() const {
-  return locator_.tryLocate3D(buildObservations(), config_.health);
 }
 
 core::CalibrationCheckpoint Supervisor::makeCheckpoint(double nowS) const {

@@ -14,7 +14,8 @@
 //    soak thins old revolutions instead of growing without bound);
 //  * periodically checkpoint the whole calibration state through a
 //    CheckpointStore, so kill -9 + restore() resumes a spin mid-revolution;
-//  * answer tryLocate2D/3D from the accumulated state at any moment.
+//  * answer tryLocate2D from the accumulated state at any moment, with the
+//    default rig-health thresholds and the Hampel phase filter.
 //
 // Like the rest of the runtime it is tick-driven and clock-free.
 #pragma once
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "core/locator.hpp"
-#include "core/preprocess.hpp"
 #include "core/serialization.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
@@ -45,23 +45,20 @@ struct SupervisorConfig {
   double checkpointIntervalS = 2.0;
   /// Per-tag snapshot bound; on overflow the accumulator decimates 2x
   /// (drops every other stored snapshot and halves the future accept
-  /// rate), preserving full-spin arc coverage at reduced density.
+  /// rate), preserving full-spin arc coverage at reduced density.  Reports
+  /// weaker than core::kMinRssiDbm never enter the accumulators.
   size_t maxSnapshotsPerTag = 20000;
-  /// Reports weaker than this never enter the accumulators.
-  double minRssiDbm = -90.0;
   /// Azimuth samples of the partial angle spectrum embedded in each
   /// checkpoint (0 disables; needs >= 8 snapshots on the tag).
   size_t checkpointSpectrumPoints = 72;
-  core::PreprocessConfig preprocess;
-  core::RigHealthThresholds health;
   core::LocatorConfig locator;
 
-  /// Feed every fix from locateAndRecover2D through a track::Tracker
-  /// (sequential Bayesian smoothing of the fix stream).  Failed locate
-  /// attempts become coast windows; the track state rides along in the
-  /// checkpoint's [last_fix] section and is re-seeded on restore.
+  /// Feed every fix from locateAndRecover2D through a track::Tracker at
+  /// its default config (sequential Bayesian smoothing of the fix stream).
+  /// Failed locate attempts become coast windows; the track state rides
+  /// along in the checkpoint's [last_fix] section and is re-seeded on
+  /// restore.
   bool trackFixes = false;
-  track::TrackerConfig tracker;
 
   /// Telemetry sinks for the whole supervision tree.  When set they are
   /// propagated into every session (unless `session.metrics`/`.journal`
@@ -127,7 +124,6 @@ class Supervisor {
   void ingest(const rfid::TagReport& report);
 
   core::Result<core::ResilientFix2D> tryLocate2D() const;
-  core::Result<core::ResilientFix3D> tryLocate3D() const;
 
   /// Locate with recovery: like tryLocate2D, but when the spin
   /// self-diagnosis quarantined a rig, that tag's accumulated snapshots are

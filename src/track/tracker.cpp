@@ -13,6 +13,18 @@ namespace {
 // nonzero so the omega column of the covariance is observable.
 constexpr double kInitTurnRate = 0.0;
 
+// The fixed policy TrackerConfig's comment describes.
+constexpr double kGateProbability = 0.99;
+constexpr double kTentativeMaxCoastS = 6.0;
+constexpr double kInitPosStdM = 0.4;
+constexpr double kInitVelStdMps = 0.6;
+constexpr double kInitTurnRateStd = 0.2;
+constexpr double kSuspectInflation = 4.0;
+constexpr double kLowConfidence = 0.05;
+constexpr double kAdaptiveQNis = 3.5;
+constexpr double kRScaleMin = 0.2;
+constexpr double kRScaleMax = 10.0;
+
 Cov2 scaled(const Cov2& r, double s) {
   Cov2 out = r;
   out.xx *= s;
@@ -45,17 +57,11 @@ double Tracker::Bank::windowedNis() const {
 }
 
 Tracker::Tracker(TrackerConfig config) : config_(std::move(config)) {
-  const double p = std::clamp(config_.gateProbability, 0.5, 1.0 - 1e-12);
-  gateThreshold_ = chiSquareInv2(p);
-  banks_.push_back({MotionModelId::kConstantVelocity,
-                    std::make_unique<SquareRootUkf>(
-                        MotionModelId::kConstantVelocity, config_.noise),
-                    {}});
-  if (config_.enableCoordinatedTurn) {
-    banks_.push_back({MotionModelId::kCoordinatedTurn,
-                      std::make_unique<SquareRootUkf>(
-                          MotionModelId::kCoordinatedTurn, config_.noise),
-                      {}});
+  gateThreshold_ = chiSquareInv2(kGateProbability);
+  for (const MotionModelId model :
+       {MotionModelId::kConstantVelocity, MotionModelId::kCoordinatedTurn}) {
+    banks_.push_back(
+        {model, std::make_unique<SquareRootUkf>(model, config_.noise), {}});
   }
   activeIdx_ = 0;
   activeModel_ = banks_[0].model;
@@ -109,11 +115,11 @@ void Tracker::initializeAt(const TrackMeasurement& m, bool isReinit) {
     std::vector<double> sd(n, 0.0);
     x0[0] = m.position.x;
     x0[1] = m.position.y;
-    sd[0] = sd[1] = config_.initPosStdM;
-    sd[2] = sd[3] = config_.initVelStdMps;
+    sd[0] = sd[1] = kInitPosStdM;
+    sd[2] = sd[3] = kInitVelStdMps;
     if (n > 4) {
       x0[4] = kInitTurnRate;
-      sd[4] = config_.initTurnRateStd;
+      sd[4] = kInitTurnRateStd;
     }
     b.filter->reset(x0, sd);
     b.filter->setProcessNoiseScale(1.0);
@@ -146,9 +152,9 @@ void Tracker::seedFrom(double timeS, geom::Vec2 position,
     x0[1] = position.y;
     x0[2] = velocity.x;
     x0[3] = velocity.y;
-    sd[0] = sd[1] = config_.initPosStdM;
-    sd[2] = sd[3] = config_.initVelStdMps;
-    if (n > 4) sd[4] = config_.initTurnRateStd;
+    sd[0] = sd[1] = kInitPosStdM;
+    sd[2] = sd[3] = kInitVelStdMps;
+    if (n > 4) sd[4] = kInitTurnRateStd;
     b.filter->reset(x0, sd);
     b.filter->setProcessNoiseScale(1.0);
     b.nisWindow.clear();
@@ -184,7 +190,7 @@ void Tracker::coastTo(double timeS) {
   }
   const double sinceAccept = timeS - lastAcceptS_;
   const double budget = state_ == TrackState::kTentative
-                            ? config_.tentativeMaxCoastS
+                            ? kTentativeMaxCoastS
                             : config_.maxCoastS;
   if (sinceAccept > budget) {
     dropTrack();
@@ -251,7 +257,6 @@ void Tracker::releaseHistory() {
 }
 
 void Tracker::maybeSwitchModel() {
-  if (banks_.size() < 2) return;
   const size_t window = static_cast<size_t>(std::max(config_.nisWindow, 1));
   const Bank& cur = active();
   if (cur.nisWindow.size() < window) return;
@@ -333,14 +338,12 @@ TrackEstimate Tracker::onMeasurement(const TrackMeasurement& m) {
   // discarding the information.  The locator confidence is a relative
   // quality score, not a calibrated probability -- the ellipse already
   // carries the calibrated uncertainty -- so only scores below the
-  // lowConfidence floor widen R further.
+  // kLowConfidence floor widen R further.
   Cov2 r = m.covariance;
   double scale = 1.0;
-  if (m.verdict == MeasurementVerdict::kSuspect) {
-    scale *= std::max(config_.suspectInflation, 1.0);
-  }
-  if (m.confidence > 0.0 && m.confidence < config_.lowConfidence) {
-    scale *= config_.lowConfidence / std::max(m.confidence, 0.01);
+  if (m.verdict == MeasurementVerdict::kSuspect) scale *= kSuspectInflation;
+  if (m.confidence > 0.0 && m.confidence < kLowConfidence) {
+    scale *= kLowConfidence / std::max(m.confidence, 0.01);
   }
   r.xx *= scale;
   r.xy *= scale;
@@ -359,7 +362,7 @@ TrackEstimate Tracker::onMeasurement(const TrackMeasurement& m) {
     // The rejected window behaves like a gap: coast, maybe drop.
     const double sinceAccept = m.timeS - lastAcceptS_;
     const double budget = state_ == TrackState::kTentative
-                              ? config_.tentativeMaxCoastS
+                              ? kTentativeMaxCoastS
                               : config_.maxCoastS;
     if (sinceAccept > budget) {
       dropTrack();
@@ -400,16 +403,15 @@ TrackEstimate Tracker::onMeasurement(const TrackMeasurement& m) {
     ewmaNis_ = (1.0 - a) * ewmaNis_ + a * activeNis;
     const double target = std::max(config_.rCalibrationTargetNis, 0.1);
     rScale_ *= std::clamp(std::pow(ewmaNis_ / target, a), 0.8, 1.25);
-    rScale_ = std::clamp(rScale_, config_.rScaleMin, config_.rScaleMax);
+    rScale_ = std::clamp(rScale_, kRScaleMin, kRScaleMax);
   }
 
   // Maneuver detection: a windowed NIS above target means the motion
   // model is under-shooting the dynamics -- open up Q proportionally so
   // the next predicts track the maneuver instead of lagging it.
-  if (config_.adaptiveQMax > 1.0 && config_.adaptiveQNis > 0.0) {
-    const double scale = std::clamp(
-        active().windowedNis() / config_.adaptiveQNis, 1.0,
-        config_.adaptiveQMax);
+  if (config_.adaptiveQMax > 1.0) {
+    const double scale = std::clamp(active().windowedNis() / kAdaptiveQNis,
+                                    1.0, config_.adaptiveQMax);
     for (auto& b : banks_) b.filter->setProcessNoiseScale(scale);
   }
 

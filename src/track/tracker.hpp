@@ -42,59 +42,46 @@ enum class TrackState {
 };
 const char* trackStateName(TrackState state);
 
+/// The fixed tracking policy (tracker.cpp): fixes whose 2-dof Mahalanobis
+/// NIS exceeds chiSquareInv2(0.99) are rejected; a tentative track is
+/// abandoned after 6 s without an accepted fix (tentative tracks have not
+/// earned a long coast); (re)initialization starts from per-axis standard
+/// deviations of 0.4 m, 0.6 m/s and 0.2 rad/s of turn rate; fixes the
+/// diagnostics call suspect get R inflated 4x, and locator confidence
+/// scores below 0.05 widen R proportionally (the score is relative
+/// quality, not probability; the ellipse already carries the calibrated
+/// uncertainty, so ordinary scores leave R alone).
 struct TrackerConfig {
   MotionNoise noise;
-  /// Chi-square gate probability on the 2-dof innovation: fixes whose
-  /// Mahalanobis NIS exceeds chiSquareInv2(gateProbability) are rejected.
-  double gateProbability = 0.99;
   /// Accepted fixes needed to promote tentative -> confirmed.
   int confirmHits = 3;
   /// A confirmed track coasts at most this long before being dropped.
   double maxCoastS = 20.0;
-  /// A tentative track is abandoned after this long without an accepted
-  /// fix (tentative tracks have not earned a long coast).
-  double tentativeMaxCoastS = 6.0;
-  /// Initial per-axis standard deviations at (re)initialization.
-  double initPosStdM = 0.4;
-  double initVelStdMps = 0.6;
-  double initTurnRateStd = 0.2;
-  /// R-inflation factor applied to fixes the diagnostics call suspect.
-  double suspectInflation = 4.0;
-  /// Locator confidence scores below this floor widen R proportionally
-  /// (score is relative quality, not probability; the ellipse already
-  /// carries the calibrated uncertainty, so ordinary scores leave R
-  /// alone).
-  double lowConfidence = 0.05;
   /// Fix-count window for the per-model NIS average driving selection.
   int nisWindow = 6;
   /// The inactive model must beat the active one by this factor (on
   /// windowed NIS) to take over -- hysteresis against chatter.
   double modelSwitchMargin = 1.25;
-  /// Run the coordinated-turn bank at all (off = pure CV tracking).
-  bool enableCoordinatedTurn = true;
   /// Maneuver-adaptive process noise: when the active bank's windowed NIS
-  /// exceeds adaptiveQNis, Q is inflated by their ratio (capped at
-  /// adaptiveQMax) on subsequent predicts.  Straight stretches keep the
-  /// heavy smoothing of the configured noise; turns get a responsive
-  /// filter instead of innovation lag.  Set adaptiveQMax = 1 to disable.
-  /// The threshold is on a windowed mean of 2-dof NIS values (expectation
-  /// 2), so 3.5 is roughly the 2-sigma maneuver alarm.
-  double adaptiveQNis = 3.5;
+  /// exceeds 3.5, Q is inflated by their ratio (capped at adaptiveQMax) on
+  /// subsequent predicts.  Straight stretches keep the heavy smoothing of
+  /// the configured noise; turns get a responsive filter instead of
+  /// innovation lag.  Set adaptiveQMax = 1 to disable.  The threshold is on
+  /// a windowed mean of 2-dof NIS values (expectation 2), so 3.5 is
+  /// roughly the 2-sigma maneuver alarm.
   double adaptiveQMax = 16.0;
   /// Innovation-based R calibration: the locator's confidence ellipse is
   /// an honest coverage region but often conservative as a 1-sigma noise
   /// model.  A slow multiplicative feedback scales R so the EWMA of the
   /// accepted-fix NIS settles at its chi-square(2) expectation; 0 turns
-  /// the calibration off.  The scale is clamped to [rScaleMin, rScaleMax]
-  /// so a burst of outliers cannot talk the gate open.
+  /// the calibration off.  The scale is clamped to [0.2, 10] so a burst of
+  /// outliers cannot talk the gate open.
   double rCalibrationRate = 0.15;
   /// NIS value the calibration steers toward.  The chi-square(2)
   /// expectation is 2; a higher target keeps R deliberately conservative
   /// (stronger smoothing) while the gate -- which tests against the
   /// as-reported R -- still accepts every honest fix.
   double rCalibrationTargetNis = 2.0;
-  double rScaleMin = 0.2;
-  double rScaleMax = 10.0;
   /// Bound on the retained estimate history (0 disables history).  The
   /// history is diagnostics, not filter state: eviction can never move an
   /// estimate, and the most recent *measurement-backed* estimate is pinned

@@ -120,6 +120,7 @@ TEST(ProfileKernel, GhostScoreMatchesScalarReference) {
 
 TEST(ProfileKernel, SearchesPickTheOracleGridCell) {
   const SearchConfig search;
+  const double polarMax = spatialSearchGrid(search).ymax;
   const double step = geom::kTwoPi / static_cast<double>(kGridPoints);
   size_t identical = 0;
   size_t searches = 0;
@@ -148,10 +149,10 @@ TEST(ProfileKernel, SearchesPickTheOracleGridCell) {
     const SpatialEstimate got3 = estimateSpatial(profile, search);
     const dsp::GridMax2D want3 = dsp::maximizeRect(
         [&](double phi, double gamma) { return oracle.evaluate(phi, gamma); },
-        0.0, search.polarMax, search.azimuthGridPoints / 2,
+        0.0, polarMax, search.azimuthGridPoints / 2,
         search.polarGridPoints / 2, search.refineRounds);
     const double polarStep =
-        search.polarMax / static_cast<double>(search.polarGridPoints / 2 - 1);
+        polarMax / static_cast<double>(search.polarGridPoints / 2 - 1);
     ++searches;
     identical += got3.azimuth == want3.x && got3.polar == want3.y ? 1 : 0;
     EXPECT_LT(geom::circularDistance(got3.azimuth, want3.x), step)
@@ -260,13 +261,13 @@ struct LevelSearch {
   }
 
   dsp::GridMax2D spatial() const {
+    const dsp::RectGrid grid = spatialSearchGrid(search);
     return dsp::maximizeRect(
         [&](std::span<const double> phis, double gamma,
             std::span<double> out) {
           profile.evaluateGridOn(isa, phis, std::cos(gamma), out);
         },
-        std::max(search.polarMin, 0.0), search.polarMax,
-        search.azimuthGridPoints / 2,
+        grid.ymin, grid.ymax, search.azimuthGridPoints / 2,
         std::max<size_t>(search.polarGridPoints / 2, 2), search.refineRounds);
   }
 };

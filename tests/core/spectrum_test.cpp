@@ -159,7 +159,7 @@ TEST(EstimateSpatialAdversarial, MultiLobeMatchesDenseExhaustiveWithinGrid) {
   const SpatialEstimate est = estimateSpatial(profile, search);
   const auto dense = dsp::maximizeRect(
       [&](double phi, double gamma) { return profile.evaluate(phi, gamma); },
-      0.0, search.polarMax, 1440, 181, 8);
+      0.0, spatialSearchGrid(search).ymax, 1440, 181, 8);
 
   // estimateSpatial's raw grid: 1 degree in azimuth, ~3 degrees in polar.
   EXPECT_LT(geom::radToDeg(geom::circularDistance(est.azimuth, dense.x)), 1.0);

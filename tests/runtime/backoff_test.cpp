@@ -11,7 +11,7 @@ namespace {
 // ---------------------------------------------------------------- backoff
 
 TEST(Backoff, FirstDelayIsTheBase) {
-  BackoffSchedule schedule({0.25, 30.0, 3.0, 42});
+  BackoffSchedule schedule({0.25, 30.0, 42});
   EXPECT_DOUBLE_EQ(schedule.nextDelayS(), 0.25);
   EXPECT_EQ(schedule.attempt(), 1);
 }
@@ -20,13 +20,13 @@ TEST(Backoff, EveryDelayWithinJitterBounds) {
   // Decorrelated jitter: delay_n is uniform in [base, mult * delay_{n-1}],
   // capped.  Verify the bound pair holds at every step for several streams.
   for (uint64_t seed : {1ULL, 7ULL, 0xBAC0FFULL, 999ULL}) {
-    BackoffConfig config{0.25, 30.0, 3.0, seed};
+    BackoffConfig config{0.25, 30.0, seed};
     BackoffSchedule schedule(config);
     double previous = schedule.nextDelayS();
     EXPECT_DOUBLE_EQ(previous, config.baseDelayS);
     for (int i = 0; i < 50; ++i) {
       const double upper =
-          std::min(config.maxDelayS, config.multiplier * previous);
+          std::min(config.maxDelayS, BackoffSchedule::kMultiplier * previous);
       const double delay = schedule.nextDelayS();
       EXPECT_GE(delay, config.baseDelayS) << "seed " << seed << " step " << i;
       EXPECT_LE(delay, upper) << "seed " << seed << " step " << i;
@@ -36,7 +36,7 @@ TEST(Backoff, EveryDelayWithinJitterBounds) {
 }
 
 TEST(Backoff, CapIsReachedAndNeverExceeded) {
-  BackoffConfig config{1.0, 8.0, 3.0, 5};
+  BackoffConfig config{1.0, 8.0, 5};
   BackoffSchedule schedule(config);
   double maxSeen = 0.0;
   for (int i = 0; i < 200; ++i) {
@@ -50,14 +50,14 @@ TEST(Backoff, CapIsReachedAndNeverExceeded) {
 }
 
 TEST(Backoff, DeterministicInSeed) {
-  BackoffSchedule a({0.25, 30.0, 3.0, 1234});
-  BackoffSchedule b({0.25, 30.0, 3.0, 1234});
+  BackoffSchedule a({0.25, 30.0, 1234});
+  BackoffSchedule b({0.25, 30.0, 1234});
   for (int i = 0; i < 20; ++i) {
     EXPECT_DOUBLE_EQ(a.nextDelayS(), b.nextDelayS());
   }
-  BackoffSchedule c({0.25, 30.0, 3.0, 1235});
+  BackoffSchedule c({0.25, 30.0, 1235});
   bool anyDifferent = false;
-  BackoffSchedule a2({0.25, 30.0, 3.0, 1234});
+  BackoffSchedule a2({0.25, 30.0, 1234});
   for (int i = 0; i < 20; ++i) {
     if (a2.nextDelayS() != c.nextDelayS()) anyDifferent = true;
   }
@@ -65,7 +65,7 @@ TEST(Backoff, DeterministicInSeed) {
 }
 
 TEST(Backoff, ResetRestartsTheSchedule) {
-  BackoffSchedule schedule({0.25, 30.0, 3.0, 42});
+  BackoffSchedule schedule({0.25, 30.0, 42});
   std::vector<double> first;
   for (int i = 0; i < 5; ++i) first.push_back(schedule.nextDelayS());
   schedule.reset();
@@ -77,7 +77,7 @@ TEST(Backoff, ResetRestartsTheSchedule) {
 
 TEST(Backoff, DelaysGrowOnAverage) {
   // The point of backoff: later retries should usually wait longer.
-  BackoffSchedule schedule({0.25, 120.0, 3.0, 9});
+  BackoffSchedule schedule({0.25, 120.0, 9});
   double early = 0.0, late = 0.0;
   for (int i = 0; i < 3; ++i) early += schedule.nextDelayS();
   for (int i = 0; i < 7; ++i) schedule.nextDelayS();

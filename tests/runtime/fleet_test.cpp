@@ -1,5 +1,6 @@
 // FleetManager containment tests: retry-budget pacing, quarantine
-// eject/readmit, admission control, and multi-shard kill -9 + restore.
+// eject/readmit, admission control, the work-axis shed ladder, and
+// multi-shard kill -9 + restore.
 // The worker-pool parity test runs the same fleet with 0 and 2 worker
 // threads and demands identical results -- under `ctest -L tsan` that is
 // also the ThreadSanitizer's view of the shard/pool handoff.
@@ -7,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -17,9 +20,12 @@
 #include <vector>
 
 #include "geom/angles.hpp"
+#include "obs/metrics.hpp"
 #include "rfid/llrp.hpp"
 #include "core/serialization.hpp"
 #include "runtime/checkpoint.hpp"
+#include "sim/interrogator.hpp"
+#include "sim/scenario.hpp"
 
 namespace tagspin::runtime {
 namespace {
@@ -223,8 +229,6 @@ TEST(Fleet, QuarantineEjectsFlapperAndReadmitsAfterProbe) {
   config.supervisor.session.backoff.baseDelayS = 0.1;
   config.supervisor.session.backoff.maxDelayS = 0.3;
   config.supervisor.session.breaker.failuresToOpen = 1000000;
-  config.quarantine.flapThreshold = 6;
-  config.quarantine.flapWindowS = 30.0;
   config.quarantine.probeBaseS = 2.0;
   config.quarantine.probeWindowS = 1.0;
   FleetManager fleet(config, twoRigDeployment());
@@ -277,6 +281,157 @@ TEST(Fleet, QuarantineEjectsFlapperAndReadmitsAfterProbe) {
   ASSERT_NE(steady, nullptr);
   EXPECT_EQ(steady->session(0).stats().disconnects, 0u);
   EXPECT_EQ(steady->tagSnapshotCount(kTag0), 4u);
+}
+
+/// Serves a located stream in chunks, one per poll; once they are out,
+/// every poll while `flood` is set carries `floodReports` reads of a tag
+/// outside the deployment: bytes the session must decode and the
+/// supervisor then drops.
+struct LoadTransport final : Transport {
+  std::deque<std::vector<uint8_t>> chunks;
+  bool flood = false;
+  size_t floodReports = 0;
+  double floodClockS = 1000.0;  // the reader clock keeps advancing
+  bool connected = false;
+
+  bool connect(double) override {
+    connected = true;
+    return true;
+  }
+  TransportRead poll(double) override {
+    if (!connected) return {TransportStatus::kClosed, {}};
+    if (!chunks.empty()) {
+      TransportRead r{TransportStatus::kOk, std::move(chunks.front())};
+      chunks.pop_front();
+      return r;
+    }
+    if (!flood) return {TransportStatus::kIdle, {}};
+    rfid::ReportStream batch;
+    for (size_t i = 0; i < floodReports; ++i) {
+      batch.push_back(report(rfid::Epc::forSimulatedTag(42), floodClockS,
+                             0.0));
+      floodClockS += 1e-3;
+    }
+    return {TransportStatus::kOk, rfid::llrp::encodeStream(batch)};
+  }
+  void close() override { connected = false; }
+};
+
+TEST(Fleet, WorkShedLadderStretchesFixesAndRecoversBelowItsHysteresis) {
+  // One revolution of a two-rig row, which the fleet's session can fix.
+  sim::ScenarioConfig sc;
+  sc.seed = 5;
+  sim::World world = sim::makeRigRowWorld(sc, 2);
+  sim::placeReaderAntenna(world, 0, {0.3, 1.6, 0.0});
+  sim::InterrogateConfig ic;
+  ic.durationS = 4.0 * geom::kPi;
+  const rfid::ReportStream reports = sim::interrogate(world, ic);
+  core::DeploymentFile deployment;
+  for (const sim::RigTag& rt : world.rigs) {
+    core::RigSpec spec;
+    spec.center = rt.rig.center;
+    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
+                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
+    deployment.rigs[rt.tag.epc] = spec;
+  }
+
+  // One shard of one session: a budget of 3 * 1 + 8 = 11 work units a
+  // tick, against 1 unit per session tick, 1 per decoded KiB and 24 per
+  // fix.
+  obs::MetricsRegistry registry;
+  FleetConfig config = testFleetConfig();
+  config.shards = 1;
+  config.fixIntervalS = 20.0;
+  config.metrics = &registry;
+  config.supervisor.locator.robust.diagnostics = false;  // no re-spins
+  struct Fix {
+    double dueS;
+    bool ok;
+    ShedLevel level;  // the level the fix was scheduled under
+  };
+  std::vector<Fix> fixes;
+  const FleetManager* fleetPtr = nullptr;
+  config.onFix = [&](const FleetFixEvent& ev) {
+    fixes.push_back({ev.dueS, ev.ok, fleetPtr->shedLevel()});
+  };
+  FleetManager fleet(config, deployment);
+  fleetPtr = &fleet;
+  LoadTransport* load = nullptr;
+  fleet.registerSession("spinner", [&] {
+    auto t = std::make_unique<LoadTransport>();
+    // Every 8th read, in 8 chunks of ~2.4 KiB: the stream is in before
+    // the first fix is due, at 0.25 * 20 s, and never loads the shard.
+    rfid::ReportStream sparse;
+    for (size_t i = 0; i < reports.size(); i += 8) sparse.push_back(reports[i]);
+    const size_t chunk = (sparse.size() + 7) / 8;
+    for (size_t i = 0; i < sparse.size(); i += chunk) {
+      const size_t end = std::min(sparse.size(), i + chunk);
+      t->chunks.push_back(rfid::llrp::encodeStream(
+          rfid::ReportStream(sparse.begin() + i, sparse.begin() + end)));
+    }
+    // ~11 KiB a tick: 1 + 11 units against 11 keep the shard over budget.
+    t->floodReports = 280;
+    load = t.get();
+    return t;
+  });
+  ASSERT_NE(load, nullptr);
+  const auto pressure = [&registry] {
+    return registry.snapshot().gaugeValue("fleet.shard0.pressure");
+  };
+
+  constexpr double kTickS = 0.5;
+  double t = 0.0;
+  const auto tickUntil = [&](double endS) {
+    for (; t < endS; t += kTickS) fleet.tick(t);
+  };
+
+  // Unloaded: the stream is in, and the first fix (due at 5 s) is served.
+  tickUntil(10.0);
+  EXPECT_EQ(fleet.shedLevel(), ShedLevel::kNone);
+  EXPECT_EQ(fleet.stats().shedDegradedTicks, 0u);
+
+  // Flooded: the level turns kDegraded on the first tick after the
+  // smoothed pressure passes 0.9.
+  load->flood = true;
+  while (fleet.shedLevel() == ShedLevel::kNone) {
+    ASSERT_LT(t, 25.0) << "the flood never degraded the shard";
+    const double before = pressure();
+    fleet.tick(t);
+    t += kTickS;
+    EXPECT_EQ(fleet.shedLevel(),
+              before > 0.9 ? ShedLevel::kDegraded : ShedLevel::kNone)
+        << "at t=" << t;
+  }
+  EXPECT_GT(fleet.stats().shedDegradedTicks, 0u);
+  tickUntil(40.0);  // the second fix, due at 25 s, is served degraded
+
+  // Unloaded again: the level holds through the band between 0.75 and
+  // 0.9 and drops to kNone on the first tick after the pressure falls
+  // below 0.75 (0.9 minus the 0.15 hysteresis).
+  load->flood = false;
+  bool heldInBand = false;
+  while (fleet.shedLevel() != ShedLevel::kNone) {
+    ASSERT_LT(t, 60.0) << "the shard never recovered";
+    const double before = pressure();
+    fleet.tick(t);
+    t += kTickS;
+    EXPECT_EQ(fleet.shedLevel() == ShedLevel::kNone, before < 0.75)
+        << "at t=" << t;
+    if (before < 0.9 && fleet.shedLevel() == ShedLevel::kDegraded) {
+      heldInBand = true;
+    }
+  }
+  EXPECT_TRUE(heldInBand);
+  tickUntil(70.0);
+
+  // The fix cadence: the next fix is due 20 s after one served at kNone
+  // and 40 s after one served while degraded.
+  ASSERT_EQ(fixes.size(), 3u);
+  for (const Fix& fix : fixes) EXPECT_TRUE(fix.ok);
+  EXPECT_EQ(fixes[0].level, ShedLevel::kNone);
+  EXPECT_EQ(fixes[1].level, ShedLevel::kDegraded);
+  EXPECT_DOUBLE_EQ(fixes[1].dueS - fixes[0].dueS, 20.0);
+  EXPECT_DOUBLE_EQ(fixes[2].dueS - fixes[1].dueS, 40.0);
 }
 
 TEST(Fleet, MultiShardKillAndRestoreRecoversEverySession) {

@@ -192,6 +192,19 @@ TEST(IngestQueueThreaded, DegradeSamplingPolicyWithConcurrentConsumer) {
   queue.setInstruments(QueueInstruments::resolve(&registry));
   constexpr uint64_t kItems = 50000;
 
+  // Fill the ring to its watermark before the consumer starts, then offer
+  // twice more: the gate admits the first and samples the second away, so
+  // a sampled drop does not hinge on the consumer falling behind.
+  uint64_t admitted = 0;
+  uint64_t next = 0;
+  while (queue.size() < queue.watermarkDepth()) {
+    if (queue.offer(next++)) ++admitted;
+  }
+  for (int extra = 0; extra < 2; ++extra) {
+    if (queue.offer(next++)) ++admitted;
+  }
+  ASSERT_GT(queue.stats().droppedSampled, 0u);
+
   std::atomic<bool> done{false};
   std::atomic<uint64_t> delivered{0};
   std::thread consumer([&] {
@@ -211,9 +224,8 @@ TEST(IngestQueueThreaded, DegradeSamplingPolicyWithConcurrentConsumer) {
     }
   });
 
-  uint64_t admitted = 0;
-  for (uint64_t i = 0; i < kItems; ++i) {
-    if (queue.offer(i)) ++admitted;
+  for (; next < kItems; ++next) {
+    if (queue.offer(next)) ++admitted;
   }
   done.store(true, std::memory_order_release);
   consumer.join();

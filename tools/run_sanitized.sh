@@ -31,6 +31,9 @@
 # profile from four threads, through the public entry points and at every
 # kernel level the host supports), i.e. every place the codebase relies on
 # acquire/release or relaxed memory orders or shares state across threads.
+# The threaded queue tests then run 20 more times each: a test whose
+# outcome depends on the thread schedule fails that repeat pass instead of
+# passing most runs.
 #
 # Usage: tools/run_sanitized.sh [build-dir] [extra ctest args...]
 # Default build dir: build-asan (the TSan pass uses <build-dir>-tsan).
@@ -111,4 +114,9 @@ if [[ "${TAGSPIN_SKIP_TSAN:-0}" != "1" ]]; then
   cmake --build "$TSAN_BUILD_DIR" -j"$(nproc)" --target runtime_test obs_test profile_contract_test
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -L tsan
+
+  echo
+  echo "== threaded queue tests repeated under ThreadSanitizer (until-fail:20) =="
+  ctest --test-dir "$TSAN_BUILD_DIR" --output-on-failure -L tsan \
+    -R IngestQueueThreaded --repeat until-fail:20
 fi
