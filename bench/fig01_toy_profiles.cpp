@@ -8,6 +8,7 @@
 #include "core/preprocess.hpp"
 #include "core/spectrum.hpp"
 #include "eval/report.hpp"
+#include "eval/runner.hpp"
 #include "geom/angles.hpp"
 #include "geom/ray.hpp"
 #include "sim/interrogator.hpp"
@@ -38,10 +39,9 @@ int main() {
   for (size_t i = 0; i < world.rigs.size(); ++i) {
     const sim::RigTag& rt = world.rigs[i];
     const auto snaps = core::extractSnapshots(reports, rt.tag.epc);
-    core::RigKinematics kin{rt.rig.radiusM, rt.rig.omegaRadPerS,
-                            rt.rig.initialAngle, rt.rig.tagPlaneOffset};
     core::ProfileConfig pc;  // enhanced R by default
-    const core::PowerProfile profile(snaps, kin, pc);
+    const core::PowerProfile profile(snaps, eval::rigSpecOf(rt).kinematics,
+                                     pc);
     const auto spectrum = profile.sampleAzimuth(360);
     char name[64];
     std::snprintf(name, sizeof name, "tag T%zu at (%.2f, %.2f), %zu snapshots",

@@ -87,11 +87,8 @@ int main() {
   int nPeak = 0, nMid = 0;
   const auto density = core::samplingDensity(snaps, 1.0);
   for (size_t i = 0; i < snaps.size(); ++i) {
-    const double rho = core::orientationAtPosition(
-        {rig.rig.center,
-         {rig.rig.radiusM, rig.rig.omegaRadPerS, rig.rig.initialAngle,
-          rig.rig.tagPlaneOffset}},
-        snaps[i].timeS, reader);
+    const double rho = core::orientationAtPosition(eval::rigSpecOf(rig),
+                                                   snaps[i].timeS, reader);
     const double fold = std::abs(std::sin(rho));
     if (fold > 0.9) {
       densityPeak += density[i];
@@ -111,12 +108,8 @@ int main() {
   // Stage (c): orientation calibration (prelude fit + correction).
   const auto models = eval::runCalibrationPrelude(world, 60.0);
   const core::OrientationModel& model = models.at(rig.tag.epc);
-  const core::RigSpec spec{
-      rig.rig.center,
-      {rig.rig.radiusM, rig.rig.omegaRadPerS, rig.rig.initialAngle,
-       rig.rig.tagPlaneOffset}};
-  const auto calibrated =
-      core::calibrateOrientationAtPosition(snaps, spec, model, reader);
+  const auto calibrated = core::calibrateOrientationAtPosition(
+      snaps, eval::rigSpecOf(rig), model, reader);
   std::vector<double> afterOrient(calibrated.size());
   for (size_t i = 0; i < calibrated.size(); ++i) {
     afterOrient[i] = geom::wrapToPi(

@@ -10,6 +10,7 @@
 #include "core/preprocess.hpp"
 #include "core/spectrum.hpp"
 #include "eval/report.hpp"
+#include "eval/runner.hpp"
 #include "geom/angles.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/scenario.hpp"
@@ -31,9 +32,7 @@ int main() {
 
   const rfid::ReportStream reports = sim::interrogate(world, {30.0, 0, 0});
   const auto snaps = core::extractSnapshots(reports, world.rigs[0].tag.epc);
-  const core::RigKinematics kin{
-      world.rigs[0].rig.radiusM, world.rigs[0].rig.omegaRadPerS,
-      world.rigs[0].rig.initialAngle, world.rigs[0].rig.tagPlaneOffset};
+  const core::RigKinematics kin = eval::rigSpecOf(world.rigs[0]).kinematics;
 
   const double truthAz = geom::azimuthOf(world.rigs[0].rig.center, reader);
   const double truthPol = geom::polarOf(world.rigs[0].rig.center, reader);

@@ -3,13 +3,12 @@
 // rows of the float scan), azimuth spectrum search (exhaustive vs
 // coarse-to-fine), the 3D spatial search (the production float-screened
 // search and the double grid it replaced), and the end-to-end 2D fix
-// (strict locate2D and the resilient tryLocate2D).  The sweeps, the scan
-// rows and the 3D searches run once per kernel level (last argument: 0
-// baseline, 1 x86-64-v3, 2 x86-64-v4; a level the host lacks is skipped),
-// and the context records the level every other benchmark runs at.  The
-// persistence layer: checkpoint text encode and decode in the ingest
-// workload's shape, and the CRC-32 that frames checkpoints and capture
-// chunks (bytes/s).
+// (tryLocate2D).  The sweeps, the scan rows and the 3D searches run once
+// per kernel level (last argument: 0 baseline, 1 x86-64-v3, 2 x86-64-v4; a
+// level the host lacks is skipped), and the context records the level
+// every other benchmark runs at.  The persistence layer: checkpoint text
+// encode and decode in the ingest workload's shape, and the CRC-32 that
+// frames checkpoints and capture chunks (bytes/s).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -229,23 +228,6 @@ void BM_ScanRectR(benchmark::State& state) {
   scanRow(state, core::ProfileFormula::kEnhancedR);
 }
 BENCHMARK(BM_ScanRectR)->ArgsProduct({{256, 1250}, kLevels});
-
-void BM_Locate2D(benchmark::State& state) {
-  core::RigObservation o1;
-  o1.rig.center = {-0.2, 0.0, 0.0};
-  o1.rig.kinematics = kKin;
-  o1.snapshots = makeSnapshots(1024, geom::degToRad(75.0));
-  core::RigObservation o2;
-  o2.rig.center = {0.2, 0.0, 0.0};
-  o2.rig.kinematics = kKin;
-  o2.snapshots = makeSnapshots(1024, geom::degToRad(95.0));
-  const std::vector<core::RigObservation> obs{o1, o2};
-  const core::Locator locator;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(locator.locate2D(obs));
-  }
-}
-BENCHMARK(BM_Locate2D);
 
 void BM_TryLocate2D(benchmark::State& state) {
   // Three rigs, 1024 snapshots each, paper config, no orientation model:

@@ -11,6 +11,7 @@
 #include <string>
 
 #include "core/tagspin.hpp"
+#include "eval/runner.hpp"
 #include "rfid/report.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/scenario.hpp"
@@ -53,13 +54,7 @@ int main(int argc, char** argv) {
 
   core::TagspinSystem server;
   for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics.radiusM = rt.rig.radiusM;
-    spec.kinematics.omegaRadPerS = rt.rig.omegaRadPerS;
-    spec.kinematics.initialAngle = rt.rig.initialAngle;
-    spec.kinematics.tagPlaneOffset = rt.rig.tagPlaneOffset;
-    server.registerRig(rt.tag.epc, spec);
+    server.registerRig(rt.tag.epc, eval::rigSpecOf(rt));
   }
   const auto result = server.tryLocate2D(replayed);
   if (!result) {

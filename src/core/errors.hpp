@@ -1,12 +1,17 @@
 // Typed error taxonomy for the ingestion/localization pipeline.
 //
-// The strict APIs (extractSnapshots, Locator::locate2D/3D, llrp::decodeStream)
-// throw untyped std::runtime_error/std::invalid_argument, which is fine for
-// tests but useless to a production caller that must decide *what to do* --
-// retry the interrogation, page an operator about a dead rig, or accept a
-// degraded fix.  The resilient entry points (tryLocate2D/3D,
-// extractSnapshotsRobust) return Result<T> carrying an ErrorCode instead, so
-// failure causes are machine-readable and never escape as exceptions.
+// A production caller must decide *what to do* with a failure -- retry the
+// interrogation, page an operator about a dead rig, or accept a degraded
+// fix -- so the serving entry points return Result<T> carrying an ErrorCode,
+// and bad input never escapes as an exception.  Every locate entry point
+// (Locator, TagspinSystem and Supervisor tryLocate*) is one of them; no
+// strict locate API remains.  Only an allocation failure propagates, as
+// std::bad_alloc, up to the fleet's worker boundary, which quarantines the
+// session.  The strict decoders (extractSnapshots, llrp::decodeStream,
+// capture::decodeCapture) still throw std::invalid_argument /
+// std::runtime_error; plots, the calibration prelude and test oracles use
+// them.  Their serving twins do not throw: extractSnapshotsRobust returns
+// Result, and the tolerant decoders skip and count what they cannot read.
 #pragma once
 
 #include <string>

@@ -75,7 +75,7 @@ void Locator::noteResilientOutcome(const ResilienceReport& report) const {
   if (report.grade == FixGrade::kDegraded) obs::add(obs_.degraded);
   if (report.grade != FixGrade::kFull) obs::add(obs_.confidenceDowngrades);
   obs::add(obs_.rigsDropped, report.droppedRigs.size());
-  // Quarantined rigs that selectRigs dropped never reach locate2D/3D, so
+  // Quarantined rigs that selectRigs dropped never reach the passes, so
   // their verdicts are counted here (used rigs are counted per-fix in
   // noteEstimationOutcome).
   for (size_t i : report.droppedRigs) {
@@ -169,7 +169,7 @@ Locator::RigBearing Locator::diagnoseBearing(const RigPass& pass,
   return bearing;
 }
 
-geom::Vec2 Locator::intersectBearings(
+std::optional<geom::Vec2> Locator::intersectBearings(
     std::span<const RigObservation> observations,
     std::span<const RigBearing> bearings, std::span<RigDirection> directions,
     EstimationDiagnostics& estimation, double* residualOut) const {
@@ -230,108 +230,11 @@ geom::Vec2 Locator::intersectBearings(
     }
   }
   const auto solved = geom::leastSquaresIntersectionDetailed(rays);
-  if (!solved) {
-    throw std::runtime_error(
-        "locate: rig rays are parallel; reader direction is degenerate");
-  }
+  if (!solved) return std::nullopt;
   estimation.rayT = solved->rayT;
   estimation.behindOriginRays = solved->behindOrigin;
   if (residualOut) *residualOut = geom::rmsResidual(rays, solved->point);
   return solved->point;
-}
-
-Fix2D Locator::locateXY(std::span<const RigObservation> observations,
-                        bool threeD,
-                        std::vector<std::optional<RigPass>> pass0) const {
-  if (observations.size() < 2) {
-    throw std::invalid_argument(threeD ? "locate3D: need at least two rigs"
-                                       : "locate2D: need at least two rigs");
-  }
-  const size_t n = observations.size();
-  const ProfileConfig cfg0 = passZeroConfig(config_, observations);
-  const int passes = calibratesOrientation(config_, observations)
-                         ? config_.orientationIterations
-                         : 0;
-  Fix2D fix;
-  fix.directions.resize(n);
-  std::vector<RigBearing> bearings(n);
-  // One rig's pass: pass 0 reads the raw snapshots (or the pass already
-  // searched for it); later passes correct each rig's phases against the
-  // running fix (exact tag-edge geometry; rho lives in the rigs' horizontal
-  // plane, so only xy matters) and use the configured profile.
-  auto runPass = [&](size_t i, int pass, const geom::Vec3& at) -> RigPass {
-    const RigObservation& obs = observations[i];
-    if (pass > 0) {
-      const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
-          obs.snapshots, obs.rig, obs.orientation, at);
-      return searchRig(snaps, obs.rig, config_.profile, threeD);
-    }
-    if (i < pass0.size() && pass0[i]) return std::move(*pass0[i]);
-    return searchRig(obs.snapshots, obs.rig, cfg0, threeD);
-  };
-  for (int pass = 0; pass <= passes; ++pass) {
-    const geom::Vec3 at{fix.position.x, fix.position.y,
-                        observations[0].rig.center.z};
-    for (size_t i = 0; i < n; ++i) {
-      const RigPass rigPass = runPass(i, pass, at);
-      fix.directions[i] = rigPass.direction;
-      bearings[i] = diagnoseBearing(rigPass, threeD);
-    }
-    fix.position = intersectBearings(observations, bearings, fix.directions,
-                                     fix.estimation, &fix.residualM);
-  }
-  for (RigBearing& b : bearings) {
-    fix.estimation.spins.push_back(std::move(b.spin));
-  }
-  if (config_.robust.bootstrap) {
-    fix.estimation.ellipse =
-        bootstrapEllipse2D(observations, fix.directions, fix.position);
-  }
-  noteEstimationOutcome(fix.estimation);
-  return fix;
-}
-
-Fix2D Locator::locate2D(std::span<const RigObservation> observations) const {
-  return locateXY(observations, /*threeD=*/false, {});
-}
-
-Fix3D Locator::locate3D(std::span<const RigObservation> observations) const {
-  Fix2D planar = locateXY(observations, /*threeD=*/true, {});
-  const geom::Vec2 xy = planar.position;
-  Fix3D fix;
-  fix.directions = std::move(planar.directions);
-  fix.residualM = planar.residualM;
-  fix.estimation = std::move(planar.estimation);
-
-  // Eqn. 13: each rig predicts |z| = horizontal_distance * tan(|gamma|);
-  // balance the estimates weighted by spectrum confidence.
-  double zAcc = 0.0;
-  double wAcc = 0.0;
-  for (size_t i = 0; i < observations.size(); ++i) {
-    const geom::Vec3& c = observations[i].rig.center;
-    const double horiz = (xy - c.xy()).norm();
-    const double zk = horiz * std::tan(fix.directions[i].polar);
-    const double w = std::max(fix.directions[i].peakValue, 1e-9);
-    zAcc += w * zk;
-    wAcc += w;
-  }
-  const double zMag = wAcc > 0.0 ? zAcc / wAcc : 0.0;
-  // z is measured relative to the rig plane.
-  const double zPlane = observations[0].rig.center.z;
-
-  switch (config_.zResolution) {
-    case ZResolution::kNonNegative:
-      fix.position = {xy.x, xy.y, zPlane + zMag};
-      break;
-    case ZResolution::kNonPositive:
-      fix.position = {xy.x, xy.y, zPlane - zMag};
-      break;
-    case ZResolution::kBoth:
-      fix.position = {xy.x, xy.y, zPlane + zMag};
-      fix.mirrorCandidate = geom::Vec3{xy.x, xy.y, zPlane - zMag};
-      break;
-  }
-  return fix;
 }
 
 std::optional<robust::ConfidenceEllipse> Locator::bootstrapEllipse2D(
@@ -583,17 +486,18 @@ std::vector<RigHealth> Locator::assessHealth(
   return health;
 }
 
-Result<ResilientFix2D> Locator::tryLocate2D(
+Result<ResilientFix2D> Locator::locate(
     std::span<const RigObservation> observations,
-    const RigHealthThresholds& thresholds) const {
-  obs::add(obs_.fix2dAttempts);
-  TAGSPIN_SPAN(obs_.fix2d);
+    const RigHealthThresholds& thresholds, bool threeD) const {
+  obs::add(threeD ? obs_.fix3dAttempts : obs_.fix2dAttempts);
+  TAGSPIN_SPAN(threeD ? obs_.fix3d : obs_.fix2d);
   if (observations.size() < 2) return tooFewRigs(observations.size());
-  // Health assesses the configured profile of the raw snapshots.  That is
-  // pass 0's profile unless pass 0 switches to Q for orientation
+  // Health assesses the configured profile of the raw snapshots.  In 2D that
+  // is pass 0's profile unless pass 0 switches to Q for orientation
   // calibration; when it is, each rig's pass 0 is searched once, health
-  // reads its grid and the fix reuses it.
-  const bool share = passZeroConfig(config_, observations).formula ==
+  // reads its grid and the fix reuses it.  3D health sweeps its own grid.
+  const bool share =
+      !threeD && passZeroConfig(config_, observations).formula ==
                      config_.profile.formula;
   std::vector<std::optional<RigPass>> pass0;
   Result<ResilienceReport> selected = selectRigs(
@@ -609,42 +513,115 @@ Result<ResilientFix2D> Locator::tryLocate2D(
       usedPass0.push_back(std::move(pass0[i]));
     }
   }
+
+  const size_t n = used.size();
+  const ProfileConfig cfg0 = passZeroConfig(config_, used);
+  const int passes =
+      calibratesOrientation(config_, used) ? config_.orientationIterations : 0;
+  Fix2D& fix = out.fix;
+  fix.directions.resize(n);
+  std::vector<RigBearing> bearings(n);
+  // One rig's pass: pass 0 reads the raw snapshots (or the pass already
+  // searched for it); later passes correct each rig's phases against the
+  // running fix (exact tag-edge geometry; rho lives in the rigs' horizontal
+  // plane, so only xy matters) and use the configured profile.
+  auto runPass = [&](size_t i, int pass, const geom::Vec3& at) -> RigPass {
+    const RigObservation& obs = used[i];
+    if (pass > 0) {
+      const std::vector<Snapshot> snaps = calibrateOrientationAtPosition(
+          obs.snapshots, obs.rig, obs.orientation, at);
+      return searchRig(snaps, obs.rig, config_.profile, threeD);
+    }
+    if (i < usedPass0.size() && usedPass0[i]) return std::move(*usedPass0[i]);
+    return searchRig(obs.snapshots, obs.rig, cfg0, threeD);
+  };
   try {
-    out.fix = locateXY(used, /*threeD=*/false, std::move(usedPass0));
-  } catch (const std::exception& e) {
+    for (int pass = 0; pass <= passes; ++pass) {
+      const geom::Vec3 at{fix.position.x, fix.position.y,
+                          used[0].rig.center.z};
+      for (size_t i = 0; i < n; ++i) {
+        const RigPass rigPass = runPass(i, pass, at);
+        fix.directions[i] = rigPass.direction;
+        bearings[i] = diagnoseBearing(rigPass, threeD);
+      }
+      const std::optional<geom::Vec2> hit = intersectBearings(
+          used, bearings, fix.directions, fix.estimation, &fix.residualM);
+      if (!hit) {
+        return Error{
+            ErrorCode::kDegenerateGeometry,
+            "locate: rig rays are parallel; reader direction is degenerate"};
+      }
+      fix.position = *hit;
+    }
+  } catch (const std::invalid_argument& e) {
+    // A profile that cannot be built on an orientation-corrected pass, or a
+    // dsp helper handed an empty input.
     return Error{ErrorCode::kDegenerateGeometry, e.what()};
   }
-  out.report.confidence =
-      resilientConfidence(out.report, observations, out.fix.directions,
-                          out.fix.position, out.fix.estimation);
-  obs::add(obs_.fix2dOk);
+  for (RigBearing& b : bearings) {
+    fix.estimation.spins.push_back(std::move(b.spin));
+  }
+  if (config_.robust.bootstrap) {
+    fix.estimation.ellipse =
+        bootstrapEllipse2D(used, fix.directions, fix.position);
+  }
+  noteEstimationOutcome(fix.estimation);
+  out.report.confidence = resilientConfidence(
+      out.report, observations, fix.directions, fix.position, fix.estimation);
+  obs::add(threeD ? obs_.fix3dOk : obs_.fix2dOk);
   noteResilientOutcome(out.report);
   return out;
+}
+
+Result<ResilientFix2D> Locator::tryLocate2D(
+    std::span<const RigObservation> observations,
+    const RigHealthThresholds& thresholds) const {
+  return locate(observations, thresholds, /*threeD=*/false);
 }
 
 Result<ResilientFix3D> Locator::tryLocate3D(
     std::span<const RigObservation> observations,
     const RigHealthThresholds& thresholds) const {
-  obs::add(obs_.fix3dAttempts);
-  TAGSPIN_SPAN(obs_.fix3d);
-  if (observations.size() < 2) return tooFewRigs(observations.size());
-  Result<ResilienceReport> selected =
-      selectRigs(assessHealth(observations, nullptr), thresholds);
-  if (!selected) return selected.error();
+  Result<ResilientFix2D> planar =
+      locate(observations, thresholds, /*threeD=*/true);
+  if (!planar) return planar.error();
+  const geom::Vec2 xy = planar->fix.position;
   ResilientFix3D out;
-  out.report = std::move(*selected);
-  const std::vector<RigObservation> used =
-      subsetObservations(observations, out.report.usedRigs);
-  try {
-    out.fix = locate3D(used);
-  } catch (const std::exception& e) {
-    return Error{ErrorCode::kDegenerateGeometry, e.what()};
+  out.report = std::move(planar->report);
+  Fix3D& fix = out.fix;
+  fix.directions = std::move(planar->fix.directions);
+  fix.residualM = planar->fix.residualM;
+  fix.estimation = std::move(planar->fix.estimation);
+
+  // Eqn. 13: each used rig predicts |z| = horizontal_distance *
+  // tan(|gamma|); balance the estimates weighted by spectrum confidence.
+  const std::vector<size_t>& used = out.report.usedRigs;
+  double zAcc = 0.0;
+  double wAcc = 0.0;
+  for (size_t k = 0; k < used.size(); ++k) {
+    const geom::Vec3& c = observations[used[k]].rig.center;
+    const double horiz = (xy - c.xy()).norm();
+    const double zk = horiz * std::tan(fix.directions[k].polar);
+    const double w = std::max(fix.directions[k].peakValue, 1e-9);
+    zAcc += w * zk;
+    wAcc += w;
   }
-  out.report.confidence =
-      resilientConfidence(out.report, observations, out.fix.directions,
-                          out.fix.position.xy(), out.fix.estimation);
-  obs::add(obs_.fix3dOk);
-  noteResilientOutcome(out.report);
+  const double zMag = wAcc > 0.0 ? zAcc / wAcc : 0.0;
+  // z is measured relative to the rig plane.
+  const double zPlane = observations[used[0]].rig.center.z;
+
+  switch (config_.zResolution) {
+    case ZResolution::kNonNegative:
+      fix.position = {xy.x, xy.y, zPlane + zMag};
+      break;
+    case ZResolution::kNonPositive:
+      fix.position = {xy.x, xy.y, zPlane - zMag};
+      break;
+    case ZResolution::kBoth:
+      fix.position = {xy.x, xy.y, zPlane + zMag};
+      fix.mirrorCandidate = geom::Vec3{xy.x, xy.y, zPlane - zMag};
+      break;
+  }
   return out;
 }
 

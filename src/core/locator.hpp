@@ -123,27 +123,20 @@ class Locator {
   /// path never touches the registry's lock.
   void setMetrics(obs::MetricsRegistry* registry);
 
-  /// 2D fix from >= 2 horizontal rigs (Eqn. 9 for two rigs via the robust
-  /// equivalent; least squares for more).  Throws std::invalid_argument on
-  /// fewer than 2 rigs; std::runtime_error when all rays are parallel.
-  /// This is the bare estimator that tryLocate2D/3D wrap; a server answers
-  /// through tryLocate2D/3D (or TagspinSystem's, from a report stream).
-  Fix2D locate2D(std::span<const RigObservation> observations) const;
-
-  /// 3D fix from >= 2 horizontal rigs: x, y from azimuths (Eqn. 9), |z|
-  /// from the polar angles (Eqn. 13a/13b balanced by peak confidence),
-  /// sign from config().zResolution.
-  Fix3D locate3D(std::span<const RigObservation> observations) const;
-
-  /// Graceful-degradation variants: assess every rig's health, drop rigs
+  /// The locate entry points.  Assess every offered rig's health, drop rigs
   /// below `thresholds`, fall back to the best-scoring pair when fewer than
-  /// two healthy rigs remain, and report failure causes via ErrorCode
-  /// instead of throwing -- a rig whose profile cannot be built is dropped
-  /// with the constructor's message as its reason.  When every rig is
-  /// healthy the fix is bit-identical to locate2D/3D on the same
-  /// observations.  tryLocate2D builds each rig's pass-0 spectrum once and
-  /// both the health check and the fix read it, whenever the two would build
-  /// the same profile (DESIGN.md section 4.4).
+  /// two healthy rigs remain, run the calibration passes over the used rigs
+  /// and intersect their bearings.  A 2D fix comes from >= 2 horizontal rigs
+  /// (Eqn. 9 for two rigs via the robust equivalent; consensus or least
+  /// squares for more); the 3D fix adds |z| from the polar angles (Eqn.
+  /// 13a/13b balanced by peak confidence), its sign from
+  /// config().zResolution.  Bad input comes back as an ErrorCode, never as
+  /// an exception: a rig whose profile cannot be built is dropped with the
+  /// constructor's message as its reason.  Only an allocation failure
+  /// propagates.  At kKeepEveryRig every rig whose profile can be built is
+  /// used -- the paper's estimator.  tryLocate2D builds each rig's pass-0
+  /// spectrum once and both the health check and the fix read it, whenever
+  /// the two would build the same profile (DESIGN.md section 4.4).
   Result<ResilientFix2D> tryLocate2D(
       std::span<const RigObservation> observations,
       const RigHealthThresholds& thresholds = {}) const;
@@ -209,15 +202,16 @@ class Locator {
   /// single-candidate bearing when diagnostics are disabled).  2D reads the
   /// pass's grid; 3D sweeps the azimuth row at the found polar angle.
   RigBearing diagnoseBearing(const RigPass& pass, bool threeD) const;
-  /// The calibration passes locate2D and locate3D share: pass 0 on the raw
-  /// snapshots, then orientationIterations passes on snapshots corrected at
-  /// the running fix when some rig carries an orientation model.  Each pass
-  /// searches and diagnoses every rig, then intersects the bearings.  The
-  /// result's position is the xy fix.  `pass0` is empty or parallel to
-  /// `observations`; a filled entry is that rig's pass 0, already searched.
-  /// Throws like locate2D/3D.
-  Fix2D locateXY(std::span<const RigObservation> observations, bool threeD,
-                 std::vector<std::optional<RigPass>> pass0) const;
+  /// The one locate body behind tryLocate2D/3D: rig health and selection,
+  /// the calibration passes with their intersection, the bootstrap, the
+  /// confidence and the locator.fix{2d,3d}_* counters.  Pass 0 runs on the
+  /// raw snapshots, then orientationIterations passes on snapshots corrected
+  /// at the running fix when some used rig carries an orientation model;
+  /// each pass searches and diagnoses every used rig, then intersects the
+  /// bearings.  The position is the xy fix; tryLocate3D adds the height.
+  Result<ResilientFix2D> locate(std::span<const RigObservation> observations,
+                                const RigHealthThresholds& thresholds,
+                                bool threeD) const;
   /// Health of every offered rig.  With `pass0` set, each rig's pass-0
   /// spectrum is searched here, health reads its grid and the pass is
   /// appended to `pass0` (nullopt for a rig with no profile); otherwise
@@ -228,13 +222,12 @@ class Locator {
   /// Intersect the (possibly multi-candidate) bearings: consensus voting
   /// for >= 3 rays when enabled, exact two-ray / detailed least squares
   /// otherwise.  Updates `directions` to the chosen candidates and fills
-  /// the per-ray fields of `estimation`.  Throws std::runtime_error on
-  /// degenerate (all-parallel) geometry, like the legacy path.
-  geom::Vec2 intersectBearings(std::span<const RigObservation> observations,
-                               std::span<const RigBearing> bearings,
-                               std::span<RigDirection> directions,
-                               EstimationDiagnostics& estimation,
-                               double* residualOut) const;
+  /// the per-ray fields of `estimation`.  nullopt on degenerate
+  /// (all-parallel) geometry.
+  std::optional<geom::Vec2> intersectBearings(
+      std::span<const RigObservation> observations,
+      std::span<const RigBearing> bearings, std::span<RigDirection> directions,
+      EstimationDiagnostics& estimation, double* residualOut) const;
   /// Bootstrap confidence ellipse around a finished xy fix.
   std::optional<robust::ConfidenceEllipse> bootstrapEllipse2D(
       std::span<const RigObservation> observations,

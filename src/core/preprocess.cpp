@@ -193,7 +193,7 @@ Result<std::vector<Snapshot>> extractSnapshotsRobust(
                      noReportsMessage(epc, reports.size(), matched)};
   }
 
-  if (config.dedupe) {
+  if (config.repair) {
     std::vector<Snapshot> unique;
     unique.reserve(snaps.size());
     for (const Snapshot& s : snaps) {
@@ -205,12 +205,9 @@ Result<std::vector<Snapshot>> extractSnapshotsRobust(
       }
       unique.push_back(s);
     }
+    // Free the sorted copy before the next stage allocates its output.
     snaps = std::move(unique);
-  }
-  if (config.repairTimestamps) {
     snaps = dropTimeOutliers(std::move(snaps), &st->timestampOutliersDropped);
-  }
-  if (config.hampelFilter) {
     snaps = hampelFilterPhases(snaps, &st->phaseOutliersDropped);
   }
   if (snaps.empty()) {

@@ -21,18 +21,17 @@ struct PreprocessConfig {
   /// the subsampling penalty negligible at the default 30 s interrogation.
   size_t maxSnapshots = 4000;
 
-  // --- robust-ingestion stages, used only by extractSnapshotsRobust ---
-  /// Remove exact duplicate reads (reader retransmits): same timestamp,
-  /// phase and channel after sorting.
-  bool dedupe = true;
-  /// Drop reads whose timestamp is isolated from the rest of the trace
-  /// (clock glitches that survive sorting); a read is isolated when its
-  /// nearest temporal neighbour is further than max(0.5 s, 50 * median
-  /// step) away.
-  bool repairTimestamps = true;
-  /// Hampel/MAD filter on the wrapped phase sequence ahead of unwrapping
-  /// (hampelFilterPhases).
-  bool hampelFilter = true;
+  /// Run the three repair stages of extractSnapshotsRobust (the only
+  /// reader of this switch), in order:
+  ///  - dedupe: remove exact duplicate reads (reader retransmits) -- same
+  ///    timestamp, phase and channel after sorting;
+  ///  - timestamp repair: drop reads whose timestamp is isolated from the
+  ///    rest of the trace (clock glitches that survive sorting), i.e. whose
+  ///    nearest temporal neighbour is further than max(0.5 s, 50 * median
+  ///    step) away;
+  ///  - Hampel/MAD filter on the wrapped phase sequence ahead of unwrapping
+  ///    (hampelFilterPhases).
+  bool repair = true;
 };
 
 /// What the robust extraction repaired (diagnostics / chaos reporting).
@@ -51,8 +50,8 @@ std::vector<Snapshot> extractSnapshots(const rfid::ReportStream& reports,
                                        const rfid::Epc& epc,
                                        const PreprocessConfig& config = {});
 
-/// Non-throwing, hardened variant of extractSnapshots: applies the robust
-/// stages enabled in `config` (dedup -> timestamp repair -> Hampel phase
+/// Non-throwing, hardened variant of extractSnapshots: with config.repair
+/// set, applies the repair stages (dedup -> timestamp repair -> Hampel phase
 /// filter) after sorting and before subsampling.  On a clean stream with no
 /// duplicates, glitches or phase outliers the result is bit-identical to
 /// extractSnapshots.  Errors (no usable reports, everything filtered away)

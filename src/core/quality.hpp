@@ -86,6 +86,14 @@ struct RigHealthThresholds {
   bool rejectQuarantined = true;
 };
 
+/// Thresholds that keep every rig whose profile can be built: the paper's
+/// estimator uses every heard rig (eval::buildPaperServer).
+inline constexpr RigHealthThresholds kKeepEveryRig{
+    .minSnapshots = 2,
+    .minArcCoverage = 0.0,
+    .minPeakValue = 0.0,
+    .rejectQuarantined = false};
+
 /// Assess a rig's snapshots against an already-built profile of them.
 /// `grid` is that profile sampled on dsp::circularGrid(grid.size()) -- the
 /// RigSpectrum the azimuth search kept -- and is read instead of sweeping

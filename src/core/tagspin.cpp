@@ -95,37 +95,33 @@ void TagspinSystem::setHealthThresholds(const RigHealthThresholds& thresholds) {
   healthThresholds_ = thresholds;
 }
 
-namespace {
-
-Error tooFewRigsHeard(const char* entry, size_t heard, size_t registered,
-                      size_t reports) {
-  return Error{ErrorCode::kTooFewRigs,
-               std::string(entry) + ": " + std::to_string(heard) + " of " +
-                   std::to_string(registered) +
-                   " registered rigs heard in a stream of " +
-                   std::to_string(reports) + " reports"};
+Result<std::vector<RigObservation>> TagspinSystem::heardRigs(
+    const rfid::ReportStream& reports, const char* entry) const {
+  std::vector<RigObservation> obs = collectObservationsRobust(reports);
+  if (obs.size() < 2) {
+    return Error{ErrorCode::kTooFewRigs,
+                 std::string(entry) + ": " + std::to_string(obs.size()) +
+                     " of " + std::to_string(rigs_.size()) +
+                     " registered rigs heard in a stream of " +
+                     std::to_string(reports.size()) + " reports"};
+  }
+  return obs;
 }
-
-}  // namespace
 
 Result<ResilientFix2D> TagspinSystem::tryLocate2D(
     const rfid::ReportStream& reports) const {
-  const std::vector<RigObservation> obs = collectObservationsRobust(reports);
-  if (obs.size() < 2) {
-    return tooFewRigsHeard("tryLocate2D", obs.size(), rigs_.size(),
-                           reports.size());
-  }
-  return locator_.tryLocate2D(obs, healthThresholds_);
+  const Result<std::vector<RigObservation>> obs =
+      heardRigs(reports, "tryLocate2D");
+  if (!obs) return obs.error();
+  return locator_.tryLocate2D(*obs, healthThresholds_);
 }
 
 Result<ResilientFix3D> TagspinSystem::tryLocate3D(
     const rfid::ReportStream& reports) const {
-  const std::vector<RigObservation> obs = collectObservationsRobust(reports);
-  if (obs.size() < 2) {
-    return tooFewRigsHeard("tryLocate3D", obs.size(), rigs_.size(),
-                           reports.size());
-  }
-  Result<ResilientFix3D> out = locator_.tryLocate3D(obs, healthThresholds_);
+  const Result<std::vector<RigObservation>> obs =
+      heardRigs(reports, "tryLocate3D");
+  if (!obs) return obs.error();
+  Result<ResilientFix3D> out = locator_.tryLocate3D(*obs, healthThresholds_);
   if (!out || !out->fix.mirrorCandidate) return out;
 
   // Both z candidates are in play (ZResolution::kBoth): the first vertical

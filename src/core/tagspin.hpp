@@ -63,8 +63,8 @@ class TagspinSystem {
   /// are dropped with a 2-rig fallback, and every failure comes back as an
   /// ErrorCode (kTooFewRigs when fewer than two rigs were heard) instead of
   /// an exception.  The fix equals
-  /// locator().locate2D/3D(collectObservationsRobust(reports)) whenever
-  /// every heard rig is healthy, up to the z choice below.
+  /// locator().tryLocate2D/3D(collectObservationsRobust(reports),
+  /// healthThresholds()), up to the z choice below.
   ///
   /// When the 3D fix keeps a mirror candidate (ZResolution::kBoth), the
   /// first registered vertical rig heard picks the sign of z through
@@ -106,6 +106,10 @@ class TagspinSystem {
   std::optional<RigObservation> observe(const rfid::ReportStream& reports,
                                         const rfid::Epc& epc,
                                         const RigSpec& rig) const;
+  /// collectObservationsRobust, or kTooFewRigs (naming `entry`) when fewer
+  /// than two rigs were heard: the step tryLocate2D/3D share.
+  Result<std::vector<RigObservation>> heardRigs(
+      const rfid::ReportStream& reports, const char* entry) const;
 
   Locator locator_;
   PreprocessConfig preprocess_;

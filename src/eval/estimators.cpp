@@ -10,16 +10,10 @@ core::TagspinSystem buildTagspinServer(
     const core::LocatorConfig& config) {
   core::TagspinSystem server(config);
   for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics.radiusM = rt.rig.radiusM;
-    spec.kinematics.omegaRadPerS = rt.rig.omegaRadPerS;
-    spec.kinematics.initialAngle = rt.rig.initialAngle;
-    spec.kinematics.tagPlaneOffset = rt.rig.tagPlaneOffset;
     if (rt.rig.plane == sim::SpinningRig::Plane::kHorizontal) {
-      server.registerRig(rt.tag.epc, spec);
+      server.registerRig(rt.tag.epc, rigSpecOf(rt));
     } else {
-      server.registerVerticalRig(rt.tag.epc, spec);
+      server.registerVerticalRig(rt.tag.epc, rigSpecOf(rt));
     }
     if (const auto it = orientationModels.find(rt.tag.epc);
         it != orientationModels.end()) {
@@ -36,16 +30,9 @@ core::TagspinSystem buildPaperServer(
   core::TagspinSystem server =
       buildTagspinServer(world, orientationModels, config);
   core::PreprocessConfig preprocess;
-  preprocess.dedupe = false;
-  preprocess.repairTimestamps = false;
-  preprocess.hampelFilter = false;
+  preprocess.repair = false;
   server.setPreprocessConfig(preprocess);
-  core::RigHealthThresholds keepAll;
-  keepAll.minSnapshots = 2;
-  keepAll.minArcCoverage = 0.0;
-  keepAll.minPeakValue = 0.0;
-  keepAll.rejectQuarantined = false;
-  server.setHealthThresholds(keepAll);
+  server.setHealthThresholds(core::kKeepEveryRig);
   return server;
 }
 

@@ -33,10 +33,10 @@ core::TagspinSystem buildTagspinServer(
 
 /// buildTagspinServer set up as the paper's estimator (section V): no
 /// robust preprocess stage, so a rig's snapshots are its sorted and
-/// subsampled reads, and health thresholds that keep every heard rig whose
-/// profile can be built.  tryLocate2D/3D then return exactly the strict
-/// Locator::locate2D/3D fix over every heard rig.  The paper figures and
-/// ablations use it; a server keeps buildTagspinServer's robust defaults.
+/// subsampled reads, and the core::kKeepEveryRig health thresholds, so
+/// tryLocate2D/3D fix over every heard rig whose profile can be built.  The
+/// paper figures and ablations use it; a server keeps buildTagspinServer's
+/// robust defaults.
 core::TagspinSystem buildPaperServer(
     const sim::World& world,
     const std::map<Epc, core::OrientationModel>& orientationModels,

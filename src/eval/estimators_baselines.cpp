@@ -132,14 +132,9 @@ class PinItSurvey {
         continue;
       }
       if (snaps.size() < 8) continue;
-      core::RigKinematics kin;
-      kin.radiusM = rt.rig.radiusM;
-      kin.omegaRadPerS = rt.rig.omegaRadPerS;
-      kin.initialAngle = rt.rig.initialAngle;
-      kin.tagPlaneOffset = rt.rig.tagPlaneOffset;
       core::ProfileConfig pc;
       pc.formula = core::ProfileFormula::kEnhancedR;
-      const core::PowerProfile profile(snaps, kin, pc);
+      const core::PowerProfile profile(snaps, rigSpecOf(rt).kinematics, pc);
       std::vector<double> p = profile.sampleAzimuth(90);
       // PinIt fingerprints on the *dominant* arrival directions; soft-
       // threshold the noise floor so the DTW distance is driven by the

@@ -9,6 +9,7 @@
 #include <unordered_set>
 
 #include "dsp/stats.hpp"
+#include "eval/runner.hpp"
 #include "sim/rng.hpp"
 
 namespace tagspin::eval {
@@ -186,14 +187,7 @@ FleetEvalResult runFleetEval(const FleetEvalConfig& config) {
   const auto stream = sim::makeSharedStream(
       world, {spanS, 0, sim::deriveSeed(config.seed, 2)});
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = deploymentOf(world);
 
   result.baseline = runArm(config, stream, deployment, chaos,
                            /*withOutage=*/false, endS);

@@ -12,6 +12,7 @@
 #include "capture/digest.hpp"
 #include "capture/replay.hpp"
 #include "capture/writer.hpp"
+#include "eval/runner.hpp"
 #include "obs/export.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/checkpoint.hpp"
@@ -115,13 +116,7 @@ FleetFixture makeFleetFixture(const OomExploreConfig& config) {
   fx.stream = sim::makeSharedStream(
       world, {fx.spanS, 0, sim::deriveSeed(config.seed, 2)});
 
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    fx.deployment.rigs[rt.tag.epc] = spec;
-  }
+  fx.deployment = deploymentOf(world);
   return fx;
 }
 

@@ -16,6 +16,7 @@
 #include "capture/writer.hpp"
 #include "eval/fleet.hpp"
 #include "eval/metrics.hpp"
+#include "eval/runner.hpp"
 #include "rfid/llrp.hpp"
 #include "runtime/fleet.hpp"
 #include "sim/flaky_transport.hpp"
@@ -28,18 +29,6 @@ double hostSeconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
-}
-
-core::DeploymentFile deploymentFromWorld(const sim::World& world) {
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
-  return deployment;
 }
 
 /// Chunk extents of an intact capture image (trusted lengths -- callers run
@@ -137,7 +126,7 @@ ReplayEvalResult runReplayEval(const ReplayEvalConfig& config) {
   auto rng = sim::makeRng(sim::deriveSeed(config.seed, 1));
   const geom::Vec3 truth = config.region.sample(rng, false);
   sim::placeReaderAntenna(world, 0, truth);
-  const core::DeploymentFile deployment = deploymentFromWorld(world);
+  const core::DeploymentFile deployment = deploymentOf(world);
 
   sim::FlakyTransportConfig tc;
   tc.interrogate = {durationS, 0, sim::deriveSeed(config.seed, 2)};

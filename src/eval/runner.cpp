@@ -9,6 +9,24 @@
 
 namespace tagspin::eval {
 
+core::RigSpec rigSpecOf(const sim::RigTag& rigTag) {
+  const sim::SpinningRig& rig = rigTag.rig;
+  return {rig.center,
+          {rig.radiusM, rig.omegaRadPerS, rig.initialAngle,
+           rig.tagPlaneOffset}};
+}
+
+core::DeploymentFile deploymentOf(const sim::World& world) {
+  core::DeploymentFile deployment;
+  for (const sim::RigTag& rt : world.rigs) {
+    auto& rigs = rt.rig.plane == sim::SpinningRig::Plane::kHorizontal
+                     ? deployment.rigs
+                     : deployment.verticalRigs;
+    rigs[rt.tag.epc] = rigSpecOf(rt);
+  }
+  return deployment;
+}
+
 std::map<Epc, core::OrientationModel> runCalibrationPrelude(
     const sim::World& world, double durationS) {
   std::map<Epc, core::OrientationModel> models;
@@ -39,13 +57,9 @@ std::map<Epc, core::OrientationModel> runCalibrationPrelude(
 
     const std::vector<core::Snapshot> snaps =
         core::extractSnapshots(reports, rt.tag.epc);
-    core::RigKinematics kin;
-    kin.radiusM = 0.0;
-    kin.omegaRadPerS = rt.rig.omegaRadPerS;
-    kin.initialAngle = rt.rig.initialAngle;
-    kin.tagPlaneOffset = rt.rig.tagPlaneOffset;
     const double azimuth = geom::azimuthOf(center.rig.center, bench);
-    models[rt.tag.epc] = core::OrientationModel::fit(snaps, kin, azimuth);
+    models[rt.tag.epc] = core::OrientationModel::fit(
+        snaps, rigSpecOf(center).kinematics, azimuth);
   }
   return models;
 }

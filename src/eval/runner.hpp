@@ -8,6 +8,7 @@
 #include <map>
 
 #include "core/orientation_calibration.hpp"
+#include "core/serialization.hpp"
 #include "eval/metrics.hpp"
 #include "rfid/report.hpp"
 #include "sim/scenario.hpp"
@@ -54,6 +55,13 @@ struct RunResult {
   int failedTrials = 0;
   dsp::Summary summary;  // of combined errors
 };
+
+/// The deployed rig a simulated one stands for: its center and kinematics.
+core::RigSpec rigSpecOf(const sim::RigTag& rigTag);
+
+/// Every rig of `world` as a deployment keyed by its tag's EPC: horizontal
+/// rigs in `rigs`, vertical ones in `verticalRigs`, no orientation model.
+core::DeploymentFile deploymentOf(const sim::World& world);
 
 /// Fit an orientation model for each rig tag in `world` via a center-spin
 /// prelude (the paper's Step 1), reusing the world's environment.

@@ -86,14 +86,7 @@ SoakResult runSoak(const SoakConfig& config) {
     }
   }
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = deploymentOf(world);
 
   const std::string ckptPath = config.checkpointPath.empty()
                                    ? "soak_checkpoint.ckpt"

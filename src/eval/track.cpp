@@ -9,6 +9,7 @@
 #include "capture/replay.hpp"
 #include "core/tagspin.hpp"
 #include "eval/metrics.hpp"
+#include "eval/runner.hpp"
 #include "sim/flaky_transport.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/rng.hpp"
@@ -37,11 +38,7 @@ core::TagspinSystem makeServer(const sim::World& world,
                                const TrackEvalConfig& config) {
   core::TagspinSystem server(config.locator);
   for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    server.registerRig(rt.tag.epc, spec);
+    server.registerRig(rt.tag.epc, rigSpecOf(rt));
   }
   server.setHealthThresholds(config.health);
   return server;

@@ -232,19 +232,19 @@ void Supervisor::ingest(const rfid::TagReport& report) {
   obs::add(obs_.reportsIngested);
   lastReaderTimestampS_ = std::max(lastReaderTimestampS_, report.timestampS);
 
-  if (tag.snapshots.size() >= config_.maxSnapshotsPerTag) {
-    // Decimate 2x: keep every other snapshot (all revolutions stay
-    // covered, at half density) and admit future reports at half rate.
-    std::vector<core::Snapshot> kept;
-    kept.reserve(tag.snapshots.size() / 2 + 1);
-    for (size_t i = 0; i < tag.snapshots.size(); i += 2) {
-      kept.push_back(tag.snapshots[i]);
-    }
-    tag.snapshots = std::move(kept);
-    tag.acceptStride *= 2;
-    ++stats_.decimationsApplied;
-    obs::add(obs_.decimationsApplied);
+  if (tag.snapshots.size() >= config_.maxSnapshotsPerTag) decimate(tag);
+}
+
+void Supervisor::decimate(TagState& tag) {
+  std::vector<core::Snapshot> kept;
+  kept.reserve(tag.snapshots.size() / 2 + 1);
+  for (size_t i = 0; i < tag.snapshots.size(); i += 2) {
+    kept.push_back(tag.snapshots[i]);
   }
+  tag.snapshots = std::move(kept);
+  tag.acceptStride *= 2;
+  ++stats_.decimationsApplied;
+  obs::add(obs_.decimationsApplied);
 }
 
 const core::RigSpec* Supervisor::findRig(const rfid::Epc& epc) const {
@@ -320,16 +320,7 @@ uint64_t Supervisor::memoryFootprintBytes() const {
 uint64_t Supervisor::trimMemory() {
   const uint64_t before = memoryFootprintBytes();
   for (auto& [epc, tag] : tags_) {
-    if (tag.snapshots.size() < 8) continue;
-    std::vector<core::Snapshot> kept;
-    kept.reserve(tag.snapshots.size() / 2 + 1);
-    for (size_t i = 0; i < tag.snapshots.size(); i += 2) {
-      kept.push_back(tag.snapshots[i]);
-    }
-    tag.snapshots = std::move(kept);
-    tag.acceptStride *= 2;
-    ++stats_.decimationsApplied;
-    obs::add(obs_.decimationsApplied);
+    if (tag.snapshots.size() >= 8) decimate(tag);
   }
   drainScratch_.clear();
   drainScratch_.shrink_to_fit();

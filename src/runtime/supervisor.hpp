@@ -209,6 +209,9 @@ class Supervisor {
   std::vector<core::RigObservation> buildObservations(
       std::vector<rfid::Epc>* epcsOut = nullptr) const;
   const core::RigSpec* findRig(const rfid::Epc& epc) const;
+  /// Thin a tag 2x: keep every other snapshot (all revolutions stay
+  /// covered, at half density) and admit future reports at half rate.
+  void decimate(TagState& tag);
   void requestRespin(const rfid::Epc& epc, double nowS);
   void saveCheckpoint(double nowS);
 

@@ -9,15 +9,13 @@ namespace tagspin::track {
 
 namespace {
 
-// Nominal turn-rate seed for the CT bank at initialization: small but
-// nonzero so the omega column of the covariance is observable.
-constexpr double kInitTurnRate = 0.0;
-
 // The fixed policy TrackerConfig's comment describes.
 constexpr double kGateProbability = 0.99;
 constexpr double kTentativeMaxCoastS = 6.0;
 constexpr double kInitPosStdM = 0.4;
 constexpr double kInitVelStdMps = 0.6;
+// The coordinated-turn bank's turn rate starts at 0; this nonzero prior std
+// is what keeps the omega column of the covariance observable.
 constexpr double kInitTurnRateStd = 0.2;
 constexpr double kSuspectInflation = 4.0;
 constexpr double kLowConfidence = 0.05;
@@ -108,42 +106,7 @@ void Tracker::reset() {
   publishGauges();
 }
 
-void Tracker::initializeAt(const TrackMeasurement& m, bool isReinit) {
-  for (auto& b : banks_) {
-    const size_t n = stateDim(b.model);
-    std::vector<double> x0(n, 0.0);
-    std::vector<double> sd(n, 0.0);
-    x0[0] = m.position.x;
-    x0[1] = m.position.y;
-    sd[0] = sd[1] = kInitPosStdM;
-    sd[2] = sd[3] = kInitVelStdMps;
-    if (n > 4) {
-      x0[4] = kInitTurnRate;
-      sd[4] = kInitTurnRateStd;
-    }
-    b.filter->reset(x0, sd);
-    b.filter->setProcessNoiseScale(1.0);
-    b.nisWindow.clear();
-  }
-  rScale_ = 1.0;
-  ewmaNis_ = 2.0;
-  activeIdx_ = 0;
-  activeModel_ = banks_[0].model;
-  state_ = TrackState::kTentative;
-  hits_ = 1;
-  filterTimeS_ = m.timeS;
-  lastAcceptS_ = m.timeS;
-  if (isReinit) {
-    ++stats_.reinits;
-    obs::add(obs_.reinits);
-  }
-  everInitialized_ = true;
-  last_ = makeEstimate(m.timeS, 0.0, true);
-  publishGauges();
-}
-
-void Tracker::seedFrom(double timeS, geom::Vec2 position,
-                       geom::Vec2 velocity) {
+void Tracker::resetBanks(geom::Vec2 position, geom::Vec2 velocity) {
   for (auto& b : banks_) {
     const size_t n = stateDim(b.model);
     std::vector<double> x0(n, 0.0);
@@ -163,6 +126,26 @@ void Tracker::seedFrom(double timeS, geom::Vec2 position,
   ewmaNis_ = 2.0;
   activeIdx_ = 0;
   activeModel_ = banks_[0].model;
+}
+
+void Tracker::initializeAt(const TrackMeasurement& m, bool isReinit) {
+  resetBanks(m.position, {0.0, 0.0});
+  state_ = TrackState::kTentative;
+  hits_ = 1;
+  filterTimeS_ = m.timeS;
+  lastAcceptS_ = m.timeS;
+  if (isReinit) {
+    ++stats_.reinits;
+    obs::add(obs_.reinits);
+  }
+  everInitialized_ = true;
+  last_ = makeEstimate(m.timeS, 0.0, true);
+  publishGauges();
+}
+
+void Tracker::seedFrom(double timeS, geom::Vec2 position,
+                       geom::Vec2 velocity) {
+  resetBanks(position, velocity);
   state_ = TrackState::kConfirmed;
   hits_ = config_.confirmHits;
   everInitialized_ = true;

@@ -178,6 +178,9 @@ class Tracker {
     double windowedNis() const;
   };
 
+  /// Every bank at the initialization diagonal around (position, velocity),
+  /// turn rate 0, and the adaptive state back at its start.
+  void resetBanks(geom::Vec2 position, geom::Vec2 velocity);
   void initializeAt(const TrackMeasurement& m, bool isReinit);
   void coastTo(double timeS);
   void dropTrack();

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 
 #include "geom/angles.hpp"
 #include "synthetic.hpp"
@@ -34,13 +33,34 @@ RigObservation makeObservation(const geom::Vec3& center,
   return obs;
 }
 
+/// The paper estimator's fix: every rig kept (kKeepEveryRig).
+Fix2D paperFix2D(const Locator& locator,
+                 std::span<const RigObservation> obs) {
+  Result<ResilientFix2D> res = locator.tryLocate2D(obs, kKeepEveryRig);
+  if (!res) {
+    ADD_FAILURE() << errorCodeName(res.code()) << ": " << res.error().message;
+    return {};
+  }
+  return std::move(res->fix);
+}
+
+Fix3D paperFix3D(const Locator& locator,
+                 std::span<const RigObservation> obs) {
+  Result<ResilientFix3D> res = locator.tryLocate3D(obs, kKeepEveryRig);
+  if (!res) {
+    ADD_FAILURE() << errorCodeName(res.code()) << ": " << res.error().message;
+    return {};
+  }
+  return std::move(res->fix);
+}
+
 TEST(Locator, Locate2DNoiselessIsExact) {
   const geom::Vec3 reader{0.9, 2.1, 0.0};
   const std::vector<RigObservation> obs{
       makeObservation({-0.2, 0.0, 0.0}, reader, 1),
       makeObservation({0.2, 0.0, 0.0}, reader, 2)};
   const Locator locator;
-  const Fix2D fix = locator.locate2D(obs);
+  const Fix2D fix = paperFix2D(locator, obs);
   EXPECT_NEAR(fix.position.x, reader.x, 0.02);
   EXPECT_NEAR(fix.position.y, reader.y, 0.03);
   ASSERT_EQ(fix.directions.size(), 2u);
@@ -59,7 +79,7 @@ TEST_P(Locate2DSweep, RecoversReaderUnderNoise) {
       makeObservation({-0.2, 0.0, 0.0}, reader, 5, 0.1),
       makeObservation({0.2, 0.0, 0.0}, reader, 6, 0.1)};
   const Locator locator;
-  const Fix2D fix = locator.locate2D(obs);
+  const Fix2D fix = paperFix2D(locator, obs);
   EXPECT_LT(geom::distance(fix.position, reader.xy()), 0.12)
       << "reader at (" << reader.x << ", " << reader.y << ")";
 }
@@ -76,7 +96,7 @@ TEST(Locator, ThreeRigsUseLeastSquares) {
       makeObservation({0.4, 0.0, 0.0}, reader, 2, 0.1),
       makeObservation({0.0, 0.5, 0.0}, reader, 3, 0.1)};
   const Locator locator;
-  const Fix2D fix = locator.locate2D(obs);
+  const Fix2D fix = paperFix2D(locator, obs);
   EXPECT_LT(geom::distance(fix.position, reader.xy()), 0.08);
   EXPECT_GE(fix.residualM, 0.0);
 }
@@ -86,8 +106,10 @@ TEST(Locator, RejectsTooFewRigs) {
   const std::vector<RigObservation> one{
       makeObservation({0.0, 0.0, 0.0}, reader, 1)};
   const Locator locator;
-  EXPECT_THROW(locator.locate2D(one), std::invalid_argument);
-  EXPECT_THROW(locator.locate3D(one), std::invalid_argument);
+  EXPECT_EQ(locator.tryLocate2D(one, kKeepEveryRig).code(),
+            ErrorCode::kTooFewRigs);
+  EXPECT_EQ(locator.tryLocate3D(one, kKeepEveryRig).code(),
+            ErrorCode::kTooFewRigs);
 }
 
 TEST(Locator, Locate3DRecoversHeight) {
@@ -96,7 +118,7 @@ TEST(Locator, Locate3DRecoversHeight) {
       makeObservation({-0.2, 0.0, 0.0}, reader, 1),
       makeObservation({0.2, 0.0, 0.0}, reader, 2)};
   Locator locator;  // default: non-negative z
-  const Fix3D fix = locator.locate3D(obs);
+  const Fix3D fix = paperFix3D(locator, obs);
   EXPECT_NEAR(fix.position.x, reader.x, 0.04);
   EXPECT_NEAR(fix.position.y, reader.y, 0.06);
   EXPECT_NEAR(fix.position.z, reader.z, 0.08);
@@ -111,12 +133,12 @@ TEST(Locator, Locate3DZResolutionModes) {
 
   LocatorConfig below;
   below.zResolution = ZResolution::kNonPositive;
-  const Fix3D fixBelow = Locator(below).locate3D(obs);
+  const Fix3D fixBelow = paperFix3D(Locator(below), obs);
   EXPECT_NEAR(fixBelow.position.z, -reader.z, 0.08);  // mirrored
 
   LocatorConfig both;
   both.zResolution = ZResolution::kBoth;
-  const Fix3D fixBoth = Locator(both).locate3D(obs);
+  const Fix3D fixBoth = paperFix3D(Locator(both), obs);
   ASSERT_TRUE(fixBoth.mirrorCandidate.has_value());
   EXPECT_NEAR(fixBoth.position.z, reader.z, 0.08);
   EXPECT_NEAR(fixBoth.mirrorCandidate->z, -reader.z, 0.08);
@@ -131,7 +153,7 @@ TEST(Locator, Locate3DZRelativeToRigPlane) {
       makeObservation({-0.2, 0.0, plane}, reader, 1),
       makeObservation({0.2, 0.0, plane}, reader, 2)};
   const Locator locator;
-  const Fix3D fix = locator.locate3D(obs);
+  const Fix3D fix = paperFix3D(locator, obs);
   EXPECT_NEAR(fix.position.z, plane + 0.7, 0.08);
 }
 
@@ -203,9 +225,9 @@ TEST(Locator, OrientationCalibrationLoopImproves) {
       makeSnapshots(fitCfg, center), center, fitCfg.readerAzimuth);
 
   const Locator locator;
-  const Fix2D uncal = locator.locate2D(obs);
+  const Fix2D uncal = paperFix2D(locator, obs);
   for (RigObservation& o : obs) o.orientation = model;
-  const Fix2D cal = locator.locate2D(obs);
+  const Fix2D cal = paperFix2D(locator, obs);
   EXPECT_LT(geom::distance(cal.position, reader.xy()),
             geom::distance(uncal.position, reader.xy()));
   EXPECT_LT(geom::distance(cal.position, reader.xy()), 0.06);

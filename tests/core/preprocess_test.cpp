@@ -253,9 +253,7 @@ TEST(ExtractSnapshotsRobust, StagesCanBeDisabled) {
   reports.push_back(reports.back());               // duplicate
   reports.push_back(makeReport(1, 500.0, 1.0));    // glitch
   PreprocessConfig off;
-  off.dedupe = false;
-  off.repairTimestamps = false;
-  off.hampelFilter = false;
+  off.repair = false;
   RepairStats repairs;
   const auto robust = extractSnapshotsRobust(
       reports, rfid::Epc::forSimulatedTag(1), off, &repairs);

@@ -2,12 +2,13 @@
 // makes no heap allocation once the calling thread's scratch has grown,
 // and concurrent const calls on one profile return exactly what a single
 // thread gets -- through the public entry points and at every kernel
-// level.
+// level.  And the locator's: an allocation failure inside a fix reaches the
+// caller as std::bad_alloc, never as a typed error.
 //
-// This binary replaces the global operator new with a counting one, so it
-// is its own executable.  It carries the `tsan` label: the concurrent test
-// is what the ThreadSanitizer pass needs to cover the kernel's
-// thread_local scratch.
+// This binary replaces the global operator new with a counting one that can
+// also be armed to fail, so it is its own executable.  It carries the `tsan`
+// label: the concurrent test is what the ThreadSanitizer pass needs to cover
+// the kernel's thread_local scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,21 +22,37 @@
 #include <thread>
 #include <vector>
 
+#include "core/locator.hpp"
 #include "core/power_profile.hpp"
 #include "dsp/grid.hpp"
+#include "geom/angles.hpp"
 #include "kernel_levels.hpp"
 #include "synthetic.hpp"
 
 namespace {
 std::atomic<size_t> gAllocations{0};
+// Throwing allocations left until one fails: the one that brings this to 0
+// throws std::bad_alloc.  0 = never (the default).
+std::atomic<size_t> gFailAt{0};
 }  // namespace
 
-// All three out of line, so GCC sees neither malloc() behind operator new
+// All four out of line, so GCC sees neither malloc() behind operator new
 // nor free() behind operator delete and warns about a mismatched pair.
 [[gnu::noinline]] void* operator new(std::size_t size) {
   gAllocations.fetch_add(1, std::memory_order_relaxed);
+  if (gFailAt.load(std::memory_order_relaxed) != 0 &&
+      gFailAt.fetch_sub(1, std::memory_order_relaxed) == 1) {
+    throw std::bad_alloc();
+  }
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
+}
+// The nothrow form (std::stable_sort's temporary buffer) is counted but
+// never armed: its callers handle a null result by design.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  gAllocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
 }
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
@@ -271,6 +288,84 @@ TEST_P(RectScanContract, ScanMakesNoHeapAllocationAfterWarmUp) {
 
 TEST_P(RectScanContract, ConcurrentScansMatchSingleThreadedBitForBit) {
   expectConcurrentScansMatchSingleThreaded({GetParam()});
+}
+
+/// Three rigs of 300 snapshots around one reader above their plane.
+std::vector<RigObservation> threeRigs() {
+  const geom::Vec3 reader{0.7, 1.9, 0.4};
+  std::vector<RigObservation> obs;
+  for (size_t k = 0; k < 3; ++k) {
+    RigObservation o;
+    o.rig.center = {-0.5 + 0.5 * static_cast<double>(k), 0.0, 0.0};
+    o.rig.kinematics = testing::defaultKinematics();
+    testing::SyntheticConfig sc;
+    sc.count = 300;
+    sc.noiseStd = 0.1;
+    sc.seed = k + 1;
+    sc.distanceM = (reader.xy() - o.rig.center.xy()).norm();
+    sc.readerAzimuth = geom::azimuthOf(o.rig.center, reader);
+    sc.readerPolar = geom::polarOf(o.rig.center, reader);
+    o.snapshots = testing::makeSnapshots(sc, o.rig.kinematics);
+    obs.push_back(std::move(o));
+  }
+  return obs;
+}
+
+/// The throwing allocations one call of `fix` makes (the countdown armed out
+/// of reach).
+template <class Fix>
+size_t throwingAllocations(const Fix& fix) {
+  constexpr size_t kFar = size_t{1} << 40;
+  gFailAt.store(kFar);
+  (void)fix();
+  return kFar - gFailAt.exchange(0);
+}
+
+/// Fail the k-th throwing allocation of `fix` for each k in `ks`: every run
+/// must end in std::bad_alloc, never in a fix or a typed error.
+template <class Fix>
+void expectAllocationFailuresThrow(const Fix& fix,
+                                   const std::vector<size_t>& ks) {
+  for (const size_t k : ks) {
+    ErrorCode code = ErrorCode::kNone;
+    bool threw = false;
+    gFailAt.store(k);
+    try {
+      code = fix().code();
+    } catch (const std::bad_alloc&) {
+      threw = true;
+    }
+    gFailAt.store(0);
+    EXPECT_TRUE(threw) << "failing allocation " << k << " returned "
+                       << (code == ErrorCode::kNone ? "a fix"
+                                                    : errorCodeName(code));
+  }
+}
+
+TEST(FixAllocationFailure, Every2DAllocationReachesTheCaller) {
+  const std::vector<RigObservation> obs = threeRigs();
+  const Locator locator;
+  const auto fix = [&] { return locator.tryLocate2D(obs); };
+  ASSERT_TRUE(fix());  // warm-up: grows this thread's kernel scratch
+  const size_t count = throwingAllocations(fix);
+  ASSERT_GT(count, 0u);
+  std::vector<size_t> ks(count);
+  for (size_t k = 0; k < count; ++k) ks[k] = k + 1;
+  expectAllocationFailuresThrow(fix, ks);
+  ASSERT_TRUE(fix());  // and the locator still works
+}
+
+TEST(FixAllocationFailure, Sampled3DAllocationsReachTheCaller) {
+  const std::vector<RigObservation> obs = threeRigs();
+  const Locator locator;
+  const auto fix = [&] { return locator.tryLocate3D(obs); };
+  ASSERT_TRUE(fix());  // warm-up
+  const size_t count = throwingAllocations(fix);
+  ASSERT_GT(count, 8u);
+  expectAllocationFailuresThrow(
+      fix, {1, 2, count / 8, count / 4, count / 2, 3 * count / 4, count - 1,
+            count});
+  ASSERT_TRUE(fix());
 }
 
 INSTANTIATE_TEST_SUITE_P(RectScan, RectScanContract,

@@ -1,6 +1,7 @@
-// Graceful-degradation locator: the resilient entry points must match the
-// strict path bit-for-bit on clean input, drop unhealthy rigs with an audit
-// trail on dirty input, and report every failure cause as an ErrorCode.
+// Graceful-degradation locator: a served fix must match the paper
+// estimator's (every rig kept) bit-for-bit on clean input, drop unhealthy
+// rigs with an audit trail on dirty input, and report every failure cause as
+// an ErrorCode.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,7 +33,7 @@ sim::World makeThreeRigWorld(uint64_t seed = 17) {
 /// default), no Gaussian phase noise (whose 3-sigma tails the Hampel filter
 /// legitimately trims), no multipath (a deep fade produces an abrupt phase
 /// excursion that is flagged the same way).  The bit-identity tests compare
-/// the served fix with the strict Locator::locate2D/3D over the same robust
+/// the served fix with the locator's kKeepEveryRig fix over the same robust
 /// observations, which must agree when every rig is healthy; a stream with
 /// nothing to repair keeps every rig healthy.
 void disableInterference(sim::World& world) {
@@ -72,8 +73,10 @@ TEST(Resilience, CleanStream2DIsBitIdenticalToStrictPath) {
   const auto reports = interrogateAt(world, truth);
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
 
-  const core::Fix2D strict =
-      server.locator().locate2D(server.collectObservationsRobust(reports));
+  const auto strictRes = server.locator().tryLocate2D(
+      server.collectObservationsRobust(reports), core::kKeepEveryRig);
+  ASSERT_TRUE(strictRes) << strictRes.error().message;
+  const core::Fix2D& strict = strictRes->fix;
   const core::Result<core::ResilientFix2D> res = server.tryLocate2D(reports);
   ASSERT_TRUE(res) << res.error().message;
 
@@ -100,8 +103,10 @@ TEST(Resilience, CleanStream3DIsBitIdenticalToStrictPath) {
   const auto reports = interrogateAt(world, truth);
   const core::TagspinSystem server = eval::buildTagspinServer(world, {}, {});
 
-  const core::Fix3D strict =
-      server.locator().locate3D(server.collectObservationsRobust(reports));
+  const auto strictRes = server.locator().tryLocate3D(
+      server.collectObservationsRobust(reports), core::kKeepEveryRig);
+  ASSERT_TRUE(strictRes) << strictRes.error().message;
+  const core::Fix3D& strict = strictRes->fix;
   const core::Result<core::ResilientFix3D> res = server.tryLocate3D(reports);
   ASSERT_TRUE(res) << res.error().message;
   EXPECT_EQ(res->report.grade, core::FixGrade::kFull);

@@ -83,6 +83,17 @@ std::vector<RigObservation> rigRowWithCorruption(int ghostOutOf10) {
   return obs;
 }
 
+/// The paper estimator's fix: every rig kept (kKeepEveryRig).
+Fix2D paperFix2D(const Locator& locator,
+                 std::span<const RigObservation> obs) {
+  Result<ResilientFix2D> res = locator.tryLocate2D(obs, kKeepEveryRig);
+  if (!res) {
+    ADD_FAILURE() << errorCodeName(res.code()) << ": " << res.error().message;
+    return {};
+  }
+  return std::move(res->fix);
+}
+
 LocatorConfig baselineConfig() {
   LocatorConfig lc;
   lc.robust.diagnostics = false;
@@ -93,10 +104,10 @@ LocatorConfig baselineConfig() {
 TEST(RobustLocator, ConsensusOutvotesGhostDominatedRig) {
   const std::vector<RigObservation> obs = rigRowWithCorruption(6);
 
-  const Fix2D baseline = Locator(baselineConfig()).locate2D(obs);
+  const Fix2D baseline = paperFix2D(Locator(baselineConfig()), obs);
   const double baselineErr = geom::distance(baseline.position, kReader.xy());
 
-  const Fix2D robustFix = Locator().locate2D(obs);  // defaults: robust on
+  const Fix2D robustFix = paperFix2D(Locator(), obs);  // defaults: robust on
   const double robustErr = geom::distance(robustFix.position, kReader.xy());
 
   // The ghost lobe dominates rig 1's spectrum, so the trusting baseline is
@@ -113,8 +124,8 @@ TEST(RobustLocator, ConsensusOutvotesGhostDominatedRig) {
 
 TEST(RobustLocator, CleanSpinsPayNoRobustnessTax) {
   const std::vector<RigObservation> obs = rigRowWithCorruption(0);
-  const Fix2D baseline = Locator(baselineConfig()).locate2D(obs);
-  const Fix2D robustFix = Locator().locate2D(obs);
+  const Fix2D baseline = paperFix2D(Locator(baselineConfig()), obs);
+  const Fix2D robustFix = paperFix2D(Locator(), obs);
   // Single-candidate clean spectra: consensus reduces to the same weighted
   // least squares with all weights 1.
   EXPECT_LT(geom::distance(robustFix.position, baseline.position), 1e-6);
@@ -197,7 +208,7 @@ TEST(RobustLocator, TanPoleGeometryStillLocates) {
   const std::vector<RigObservation> obs{
       makeObservation({-0.2, 0.0, 0.0}, reader, 1, 0.0),
       makeObservation({0.2, 0.0, 0.0}, reader, 2, 0.0)};
-  const Fix2D fix = Locator().locate2D(obs);
+  const Fix2D fix = paperFix2D(Locator(), obs);
   EXPECT_LT(geom::distance(fix.position, reader.xy()), 0.05);
 }
 
@@ -209,7 +220,7 @@ TEST(RobustLocator, BootstrapEllipseAttachedToFix) {
   // test pins down).
   lc.robust.pairsBootstrap = false;
   const std::vector<RigObservation> obs = rigRowWithCorruption(0);
-  const Fix2D fix = Locator(lc).locate2D(obs);
+  const Fix2D fix = paperFix2D(Locator(lc), obs);
   ASSERT_TRUE(fix.estimation.ellipse.has_value());
   const auto& e = *fix.estimation.ellipse;
   EXPECT_DOUBLE_EQ(e.confidenceLevel, 0.90);
@@ -219,7 +230,7 @@ TEST(RobustLocator, BootstrapEllipseAttachedToFix) {
   EXPECT_TRUE(e.contains(fix.position));
 
   // Bootstrap off (the default): no ellipse is computed.
-  const Fix2D plain = Locator().locate2D(obs);
+  const Fix2D plain = paperFix2D(Locator(), obs);
   EXPECT_FALSE(plain.estimation.ellipse.has_value());
 }
 

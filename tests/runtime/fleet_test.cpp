@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "rfid/llrp.hpp"
 #include "core/serialization.hpp"
+#include "eval/runner.hpp"
 #include "runtime/checkpoint.hpp"
 #include "sim/interrogator.hpp"
 #include "sim/scenario.hpp"
@@ -326,14 +327,7 @@ TEST(Fleet, WorkShedLadderStretchesFixesAndRecoversBelowItsHysteresis) {
   sim::InterrogateConfig ic;
   ic.durationS = 4.0 * geom::kPi;
   const rfid::ReportStream reports = sim::interrogate(world, ic);
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = eval::deploymentOf(world);
 
   // One shard of one session: a budget of 3 * 1 + 8 = 11 work units a
   // tick, against 1 unit per session tick, 1 per decoded KiB and 24 per

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "../core/synthetic.hpp"
+#include "eval/runner.hpp"
 #include "geom/angles.hpp"
 #include "obs/metrics.hpp"
 #include "rf/constants.hpp"
@@ -132,14 +133,7 @@ TEST(Supervisor, InvalidReportGivesTheErasedStreamsFix) {
   sim::InterrogateConfig ic;
   ic.durationS = 4.0 * geom::kPi;
   const rfid::ReportStream reports = sim::interrogate(world, ic);
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = eval::deploymentOf(world);
   const size_t victim = reports.size() / 2;
 
   Supervisor reference(testConfig(), deployment);

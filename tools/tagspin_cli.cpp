@@ -174,14 +174,7 @@ int cmdSimulate(const Args& args) {
   std::printf("running the orientation-calibration prelude...\n");
   const auto models = eval::runCalibrationPrelude(world, 60.0);
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  core::DeploymentFile deployment = eval::deploymentOf(world);
   deployment.orientationModels = models;
   {
     std::ofstream out(dir + "/deployment.txt");
@@ -335,14 +328,7 @@ int cmdServeFleet(const Args& args, size_t sessions) {
   const auto stream = sim::makeSharedStream(
       world, {durationS, 0, sim::deriveSeed(sc.seed, 2)});
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = eval::deploymentOf(world);
 
   obs::MetricsRegistry metrics;
   obs::EventJournal journal;
@@ -448,14 +434,7 @@ int cmdServe(const Args& args) {
               "events scripted\n", rigCount, revolutions, durationS,
               tc.events.size());
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = eval::deploymentOf(world);
 
   const std::string ckptPath = dir + "/checkpoint.ckpt";
   std::remove(ckptPath.c_str());
@@ -597,14 +576,7 @@ int cmdRecord(const Args& args) {
   }
   auto shared = std::make_shared<sim::FlakyTransport>(world, tc);
 
-  core::DeploymentFile deployment;
-  for (const sim::RigTag& rt : world.rigs) {
-    core::RigSpec spec;
-    spec.center = rt.rig.center;
-    spec.kinematics = {rt.rig.radiusM, rt.rig.omegaRadPerS,
-                       rt.rig.initialAngle, rt.rig.tagPlaneOffset};
-    deployment.rigs[rt.tag.epc] = spec;
-  }
+  const core::DeploymentFile deployment = eval::deploymentOf(world);
   {
     std::ofstream out(dir + "/deployment.txt");
     if (!out) throw std::runtime_error("cannot write " + dir);
