@@ -8,7 +8,10 @@
 // level the host lacks is skipped), and the context records the level
 // every other benchmark runs at.  The persistence layer: checkpoint text
 // encode and decode in the ingest workload's shape, and the CRC-32 that
-// frames checkpoints and capture chunks (bytes/s).
+// frames checkpoints and capture chunks (bytes/s).  Ingest preprocessing:
+// the Hampel phase filter against its test oracle (items/s are snapshots),
+// and the robust extraction of a faulted 3-rig stream (items/s are
+// reports).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,6 +30,9 @@
 #include "dsp/grid.hpp"
 #include "geom/angles.hpp"
 #include "runtime/checkpoint.hpp"
+
+#include "../tests/core/ingest_stream.hpp"
+#include "../tests/core/reference_preprocess.hpp"
 
 using namespace tagspin;
 
@@ -308,6 +314,47 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_Crc32)->Unit(benchmark::kMicrosecond);
+
+/// A faulted ~40k-report 3-rig stream (~14k snapshots per rig), built
+/// once: the preprocessing benchmarks' input at ingest scale.
+const core::testing::IngestStream& ingestStream() {
+  static const core::testing::IngestStream stream =
+      core::testing::makeIngestStream(1);
+  return stream;
+}
+
+void BM_HampelFilter(benchmark::State& state) {
+  // Argument 0: the production filter; 1: the nth_element/fmod oracle it
+  // replaced (tests/core/reference_preprocess.hpp).
+  const core::testing::IngestStream& stream = ingestStream();
+  const std::vector<core::Snapshot> snaps = core::extractSnapshots(
+      stream.reports, stream.rigEpcs[0], {.maxSnapshots = 0});
+  const bool reference = state.range(0) == 1;
+  state.SetLabel(reference ? "reference" : "production");
+  for (auto _ : state) {
+    size_t dropped = 0;
+    benchmark::DoNotOptimize(
+        reference ? core::testing::referenceHampelFilterPhases(snaps, &dropped)
+                  : core::hampelFilterPhases(snaps, &dropped));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(snaps.size()));
+}
+BENCHMARK(BM_HampelFilter)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+void BM_ExtractSnapshotsRobust(benchmark::State& state) {
+  // Every repair stage over each of the stream's 3 rigs, as ingest runs it.
+  const core::testing::IngestStream& stream = ingestStream();
+  for (auto _ : state) {
+    for (const rfid::Epc& epc : stream.rigEpcs) {
+      benchmark::DoNotOptimize(
+          core::extractSnapshotsRobust(stream.reports, epc));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(stream.reports.size()));
+}
+BENCHMARK(BM_ExtractSnapshotsRobust)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
