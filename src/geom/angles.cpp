@@ -4,20 +4,6 @@
 
 namespace tagspin::geom {
 
-double wrapTwoPi(double a) {
-  double r = std::fmod(a, kTwoPi);
-  if (r < 0.0) r += kTwoPi;
-  return r;
-}
-
-double wrapToPi(double a) {
-  double r = wrapTwoPi(a);
-  if (r > kPi) r -= kTwoPi;
-  return r;
-}
-
-double circularDiff(double to, double from) { return wrapToPi(to - from); }
-
 double circularDistance(double a, double b) {
   return std::abs(circularDiff(a, b));
 }

@@ -5,6 +5,7 @@
 // (no domain restrictions on the input).
 #pragma once
 
+#include <cmath>
 #include <numbers>
 #include <span>
 #include <vector>
@@ -15,13 +16,27 @@ inline constexpr double kPi = std::numbers::pi;
 inline constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
 /// Wrap an angle to [0, 2*pi).
-double wrapTwoPi(double a);
+inline double wrapTwoPi(double a) {
+  // fmod(a, 2*pi) is exactly a when |a| < 2*pi, the usual case for a phase
+  // or the difference of two, so only larger angles and NaN pay for the
+  // libm call.  Inline, so that loops such as the Hampel filter's, 10 wraps
+  // per read, make no call for it either.
+  double r = std::abs(a) < kTwoPi ? a : std::fmod(a, kTwoPi);
+  if (r < 0.0) r += kTwoPi;
+  return r;
+}
 
 /// Wrap an angle to (-pi, pi].
-double wrapToPi(double a);
+inline double wrapToPi(double a) {
+  double r = wrapTwoPi(a);
+  if (r > kPi) r -= kTwoPi;
+  return r;
+}
 
 /// Signed smallest rotation taking `from` to `to`, in (-pi, pi].
-double circularDiff(double to, double from);
+inline double circularDiff(double to, double from) {
+  return wrapToPi(to - from);
+}
 
 /// Absolute angular separation in [0, pi].
 double circularDistance(double a, double b);

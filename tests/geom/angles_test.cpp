@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace tagspin::geom {
@@ -21,6 +24,36 @@ TEST(WrapToPi, BasicValues) {
   EXPECT_DOUBLE_EQ(wrapToPi(kPi), kPi);         // pi maps to +pi, not -pi
   EXPECT_NEAR(wrapToPi(kPi + 0.1), -kPi + 0.1, 1e-12);
   EXPECT_NEAR(wrapToPi(-kPi - 0.1), kPi - 0.1, 1e-12);
+}
+
+TEST(WrapTwoPi, SkippedFmodChangesNoBit) {
+  // wrapTwoPi calls fmod only when |a| >= 2*pi or a is NaN; below that
+  // fmod returns a exactly, so every result must equal the fmod form's,
+  // bit for bit: at the signed zeros, tiny and huge angles, and one ulp
+  // either side of +-pi and +-2*pi.
+  const auto viaFmod = [](double a) {
+    double r = std::fmod(a, kTwoPi);
+    if (r < 0.0) r += kTwoPi;
+    return r;
+  };
+  std::vector<double> angles = {0.0, 1e-300, 5e-324, 1e300, 1.0, 40.0};
+  for (const double edge : {kPi, kTwoPi, 2.0 * kTwoPi}) {
+    angles.push_back(edge);
+    angles.push_back(std::nextafter(edge, 0.0));
+    angles.push_back(std::nextafter(edge, 100.0));
+  }
+  for (double step = -20.0; step < 20.0; step += 0.0137) {
+    angles.push_back(step);
+  }
+  const size_t n = angles.size();
+  for (size_t k = 0; k < n; ++k) angles.push_back(-angles[k]);
+  for (const double a : angles) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(wrapTwoPi(a)),
+              std::bit_cast<uint64_t>(viaFmod(a)))
+        << a;
+  }
+  EXPECT_TRUE(std::isnan(wrapTwoPi(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_TRUE(std::isnan(wrapTwoPi(std::numeric_limits<double>::infinity())));
 }
 
 // Property sweep: wrapping is idempotent, range-correct, and preserves the
