@@ -7,7 +7,8 @@
 // per kernel level (last argument: 0 baseline, 1 x86-64-v3, 2 x86-64-v4; a
 // level the host lacks is skipped), and the context records the level
 // every other benchmark runs at.  The persistence layer: checkpoint text
-// encode and decode in the ingest workload's shape, and the CRC-32 that
+// encode and decode in the ingest workload's shape, its %.17g number
+// writer against std::to_chars (items/s are doubles), and the CRC-32 that
 // frames checkpoints and capture chunks (bytes/s).  Ingest preprocessing:
 // the Hampel phase filter against its test oracle (items/s are snapshots),
 // and the robust extraction of a faulted 3-rig stream (items/s are
@@ -15,6 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <optional>
 #include <random>
@@ -22,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "core/decimal17.hpp"
 #include "core/locator.hpp"
 #include "core/power_profile.hpp"
 #include "core/preprocess.hpp"
@@ -256,10 +259,11 @@ void BM_TryLocate2D(benchmark::State& state) {
 }
 BENCHMARK(BM_TryLocate2D)->Unit(benchmark::kMillisecond);
 
-/// A checkpoint in the ingest workload's shape: 3 rigs of 4000 snapshots
-/// each (12 000 in all) with LLRP-quantised values -- microsecond
-/// timestamps, 12-bit phases, a 50-channel UHF plan, half-dB RSSI -- no
-/// spectrum, no model, no fix.
+/// A checkpoint in the ingest workload's shape: 3 rigs of 12 900 snapshots
+/// each (38 700 in all, every snapshot one 10-revolution stream ingests:
+/// the supervisor keeps them all, far below its 20 000-per-tag decimation)
+/// with LLRP-quantised values -- microsecond timestamps, 12-bit phases, a
+/// 50-channel UHF plan, half-dB RSSI -- no spectrum, no model, no fix.
 core::CalibrationCheckpoint ingestShapedCheckpoint() {
   core::CalibrationCheckpoint ckpt;
   ckpt.sequence = 1;
@@ -268,9 +272,9 @@ core::CalibrationCheckpoint ingestShapedCheckpoint() {
   for (uint32_t rig = 0; rig < 3; ++rig) {
     core::TagCalibrationProgress& tag =
         ckpt.tags[rfid::Epc::forSimulatedTag(rig)];
-    for (int i = 0; i < 4000; ++i) {
+    for (int i = 0; i < 12900; ++i) {
       core::Snapshot s;
-      s.timeS = std::round(i * 31415.9 + rng() % 1000) * 1e-6;
+      s.timeS = std::round(i * 9741.4 + rng() % 1000) * 1e-6;
       s.phaseRad = static_cast<double>(rng() % 4096) * geom::kTwoPi / 4096.0;
       s.channel = static_cast<int>(rng() % 50);
       s.lambdaM = 299792458.0 / (902.75e6 + 0.5e6 * s.channel);
@@ -302,6 +306,34 @@ void BM_CheckpointDecode(benchmark::State& state) {
                           static_cast<int64_t>(text.size()));
 }
 BENCHMARK(BM_CheckpointDecode)->Unit(benchmark::kMillisecond);
+
+void BM_FormatDouble17(benchmark::State& state) {
+  // Argument 0: the checkpoint writer's %.17g (core/decimal17.hpp); 1:
+  // std::to_chars(general, 17), its oracle and fallback.  The values are
+  // the ingest-shaped checkpoint's four snapshot doubles, in text order.
+  std::vector<double> values;
+  for (const auto& [epc, tag] : ingestShapedCheckpoint().tags) {
+    for (const core::Snapshot& s : tag.snapshots) {
+      values.insert(values.end(), {s.timeS, s.phaseRad, s.lambdaM, s.rssiDbm});
+    }
+  }
+  const bool reference = state.range(0) == 1;
+  state.SetLabel(reference ? "std::to_chars" : "production");
+  char buf[32];
+  for (auto _ : state) {
+    for (const double v : values) {
+      char* end = reference ? std::to_chars(buf, buf + sizeof buf, v,
+                                            std::chars_format::general, 17)
+                                  .ptr
+                            : core::decimal17::write(buf, buf + sizeof buf, v);
+      benchmark::DoNotOptimize(end);
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(values.size()));
+}
+BENCHMARK(BM_FormatDouble17)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> bytes(1 << 20);

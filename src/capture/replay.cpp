@@ -32,8 +32,7 @@ core::Result<std::shared_ptr<const ReplayStream>> makeReplayStreamBudgeted(
   const double firstDeliveryS =
       stream->timed.empty() ? 0.0 : stream->timed.front().deliveryS;
   for (const TimedReport& tr : stream->timed) {
-    const std::vector<uint8_t> frame = rfid::llrp::encodeReport(tr.report);
-    stream->wire.insert(stream->wire.end(), frame.begin(), frame.end());
+    rfid::llrp::appendReport(stream->wire, tr.report);
     stream->releaseS.push_back(tr.deliveryS - firstDeliveryS);
   }
   return StreamResult::ok(std::move(stream));

@@ -15,18 +15,21 @@
 #include <system_error>
 #include <vector>
 
+#include "core/decimal17.hpp"
+
 namespace tagspin::core {
 
 namespace {
 
 // ---------------------------------------------------------------------------
 // Writer.  Every number of the dialect goes through TextOut: doubles as
-// %.17g (std::to_chars general at precision 17, the exact characters
-// `std::ostream << std::setprecision(17)` prints), integers in plain
-// decimal.
+// %.17g (decimal17::write: the characters of std::to_chars general at
+// precision 17, which `std::ostream << std::setprecision(17)` printed),
+// integers in plain decimal.
 
 /// Longest %.17g of a double, "-2.2250738585072014e-308", plus slack.
 constexpr size_t kMaxNumberChars = 32;
+static_assert(kMaxNumberChars >= decimal17::kMaxExactChars);
 /// Upper bound of any line but a spectrum: the longest, a snapshot line of
 /// four doubles and an int, takes 123 bytes.
 constexpr size_t kMaxLine = 128;
@@ -44,20 +47,16 @@ class TextOut {
     return *this;
   }
   TextOut& operator<<(double v) {
-    return put(std::to_chars(buf_, buf_ + kMaxNumberChars, v,
-                             std::chars_format::general, 17));
+    out_.append(buf_, decimal17::write(buf_, buf_ + kMaxNumberChars, v));
+    return *this;
   }
   template <std::integral T>
   TextOut& operator<<(T v) {
-    return put(std::to_chars(buf_, buf_ + kMaxNumberChars, v));
-  }
-
- private:
-  TextOut& put(std::to_chars_result r) {
-    out_.append(buf_, r.ptr);
+    out_.append(buf_, std::to_chars(buf_, buf_ + kMaxNumberChars, v).ptr);
     return *this;
   }
 
+ private:
   std::string& out_;
   char buf_[kMaxNumberChars]{};
 };
@@ -523,11 +522,6 @@ void appendCheckpoint(std::string& text, const CalibrationCheckpoint& ckpt) {
   }
 }
 
-void writeCheckpoint(std::ostream& out, const CalibrationCheckpoint& ckpt) {
-  const std::string text = checkpointToString(ckpt);
-  out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
 namespace {
 
 /// Shortest possible snapshot line, "snapshot=0-0-0-0-0": a declared count
@@ -659,10 +653,6 @@ CalibrationCheckpoint checkpointFromString(std::string_view text) {
         "checkpoint: missing [checkpoint] header section");
   }
   return ckpt;
-}
-
-CalibrationCheckpoint readCheckpoint(std::istream& in) {
-  return checkpointFromString(slurp(in));
 }
 
 void writeOrientationModel(std::ostream& out, const OrientationModel& model) {

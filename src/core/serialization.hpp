@@ -99,8 +99,6 @@ struct CalibrationCheckpoint {
 /// declared snapshot_count -- a text-level truncation tell).  File-level
 /// integrity (CRC, atomic replace) is layered on top by
 /// runtime::CheckpointStore.
-void writeCheckpoint(std::ostream& out, const CalibrationCheckpoint& ckpt);
-CalibrationCheckpoint readCheckpoint(std::istream& in);
 std::string checkpointToString(const CalibrationCheckpoint& ckpt);
 /// checkpointToString's text appended to `text`, which it does not
 /// reserve; checkpointSizeBound bounds the text's length (with room for

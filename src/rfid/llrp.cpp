@@ -25,18 +25,16 @@ namespace {
 constexpr uint16_t kMessageType = 61;
 constexpr uint16_t kVersion = 0x0100;
 
-void putU16(std::vector<uint8_t>& out, uint16_t v) {
-  out.push_back(static_cast<uint8_t>(v >> 8));
-  out.push_back(static_cast<uint8_t>(v));
+/// Writes the low `bytes` bytes of `v` big-endian at `p`; returns the end.
+uint8_t* putBigEndian(uint8_t* p, uint64_t v, int bytes) {
+  for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+    *p++ = static_cast<uint8_t>(v >> shift);
+  }
+  return p;
 }
-void putU32(std::vector<uint8_t>& out, uint32_t v) {
-  putU16(out, static_cast<uint16_t>(v >> 16));
-  putU16(out, static_cast<uint16_t>(v));
-}
-void putU64(std::vector<uint8_t>& out, uint64_t v) {
-  putU32(out, static_cast<uint32_t>(v >> 32));
-  putU32(out, static_cast<uint32_t>(v));
-}
+uint8_t* putU16(uint8_t* p, uint16_t v) { return putBigEndian(p, v, 2); }
+uint8_t* putU32(uint8_t* p, uint32_t v) { return putBigEndian(p, v, 4); }
+uint8_t* putU64(uint8_t* p, uint64_t v) { return putBigEndian(p, v, 8); }
 
 uint16_t getU16(std::span<const uint8_t> d, size_t at) {
   return static_cast<uint16_t>(static_cast<uint16_t>(d[at]) << 8 |
@@ -53,24 +51,28 @@ uint64_t getU64(std::span<const uint8_t> d, size_t at) {
 
 double phaseResolutionRad() { return 2.0 * std::numbers::pi / 4096.0; }
 
-std::vector<uint8_t> encodeReport(const TagReport& report) {
-  std::vector<uint8_t> out;
-  out.reserve(kMessageSize);
-  putU16(out, kMessageType);
-  putU16(out, kVersion);
-  putU32(out, static_cast<uint32_t>(kMessageSize));
-  putU64(out, report.epc.hi());
-  putU32(out, report.epc.lo());
-  putU64(out, static_cast<uint64_t>(
-                  std::llround(report.timestampS * 1e6)));
+void appendReport(std::vector<uint8_t>& out, const TagReport& report) {
+  uint8_t frame[kMessageSize];
+  uint8_t* p = putU16(frame, kMessageType);
+  p = putU16(p, kVersion);
+  p = putU32(p, static_cast<uint32_t>(kMessageSize));
+  p = putU64(p, report.epc.hi());
+  p = putU32(p, report.epc.lo());
+  p = putU64(p, static_cast<uint64_t>(std::llround(report.timestampS * 1e6)));
   const double turns = geom::wrapTwoPi(report.phaseRad) /
                        (2.0 * std::numbers::pi);
-  putU16(out, static_cast<uint16_t>(std::lround(turns * 4096.0)) & 0x0FFF);
-  putU16(out, static_cast<uint16_t>(
-                  static_cast<int16_t>(std::lround(report.rssiDbm * 100.0))));
-  putU16(out, static_cast<uint16_t>(report.channelIndex));
-  putU32(out, static_cast<uint32_t>(std::llround(report.frequencyHz / 1e3)));
-  putU16(out, static_cast<uint16_t>(report.antennaPort + 1));
+  p = putU16(p, static_cast<uint16_t>(std::lround(turns * 4096.0)) & 0x0FFF);
+  p = putU16(p, static_cast<uint16_t>(static_cast<int16_t>(
+                    std::lround(report.rssiDbm * 100.0))));
+  p = putU16(p, static_cast<uint16_t>(report.channelIndex));
+  p = putU32(p, static_cast<uint32_t>(std::llround(report.frequencyHz / 1e3)));
+  putU16(p, static_cast<uint16_t>(report.antennaPort + 1));
+  out.insert(out.end(), frame, frame + kMessageSize);
+}
+
+std::vector<uint8_t> encodeReport(const TagReport& report) {
+  std::vector<uint8_t> out;
+  appendReport(out, report);
   return out;
 }
 
@@ -124,10 +126,7 @@ TagReport decodeReport(std::span<const uint8_t> data) {
 std::vector<uint8_t> encodeStream(const ReportStream& reports) {
   std::vector<uint8_t> out;
   out.reserve(reports.size() * kMessageSize);
-  for (const TagReport& r : reports) {
-    const std::vector<uint8_t> msg = encodeReport(r);
-    out.insert(out.end(), msg.begin(), msg.end());
-  }
+  for (const TagReport& r : reports) appendReport(out, r);
   return out;
 }
 

@@ -30,6 +30,10 @@ inline constexpr size_t kMessageSize = 40;
 /// Encode one report as a single binary message.
 std::vector<uint8_t> encodeReport(const TagReport& report);
 
+/// encodeReport's kMessageSize bytes appended to `out`, without a buffer
+/// of their own: a caller encoding many reports reserves `out` once.
+void appendReport(std::vector<uint8_t>& out, const TagReport& report);
+
 /// Decode one message from the front of `data`.  Throws
 /// std::invalid_argument on truncated or malformed input.
 TagReport decodeReport(std::span<const uint8_t> data);

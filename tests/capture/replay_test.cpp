@@ -12,6 +12,8 @@
 #include "capture/writer.hpp"
 #include "rfid/llrp.hpp"
 
+#include "../core/ingest_stream.hpp"
+
 namespace tagspin::capture {
 namespace {
 
@@ -53,6 +55,21 @@ TEST(ReplayStream, WireAndReleaseOffsetsMatchTheCapture) {
   // The wire image is the exact LLRP encoding, frame by frame.
   const rfid::ReportStream decoded = rfid::llrp::decodeStream(stream->wire);
   EXPECT_EQ(streamDigest(decoded), streamDigest(stripTiming(stream->timed)));
+}
+
+TEST(ReplayStream, WireIsTheConcatenatedEncodeReportFrames) {
+  // An ingest-shaped faulted stream (duplicates, reorders, clock glitches):
+  // the replay builder and encodeStream append each frame in place, and
+  // their bytes are encodeReport's.
+  const core::testing::IngestStream ingest = core::testing::makeIngestStream(3);
+  std::vector<uint8_t> frames;
+  for (const rfid::TagReport& r : ingest.reports) {
+    const std::vector<uint8_t> frame = rfid::llrp::encodeReport(r);
+    ASSERT_EQ(frame.size(), rfid::llrp::kMessageSize);
+    frames.insert(frames.end(), frame.begin(), frame.end());
+  }
+  EXPECT_EQ(rfid::llrp::encodeStream(ingest.reports), frames);
+  EXPECT_EQ(makeReplayStream(withReaderTiming(ingest.reports))->wire, frames);
 }
 
 TEST(ReplayTransport, ReleasesFramesAgainstThePolledClock) {
