@@ -53,8 +53,8 @@ class WriterClass {
     const char* end = decimal17::write(buf, buf + sizeof buf, v);
     const std::string_view got(buf, static_cast<size_t>(end - buf));
     const std::string_view expected = oracle(v, want);
-    char scratch[32];
-    const bool exact = decimal17::writeExact(scratch, v) != nullptr;
+    char exactText[32];
+    const bool exact = decimal17::writeExact(exactText, v) != nullptr;
     ++(exact ? exact_ : fallback_);
     if (got != expected && ++mismatches_ <= 10) {
       char hex[40];
